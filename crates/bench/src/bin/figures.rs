@@ -827,7 +827,14 @@ fn json_record(out: &mut String, kernel: &str, engine: &str, m: &Measurement) {
 fn json() {
     println!("== BENCH_figures.json: machine-readable per-kernel results ==");
     let mut records: Vec<String> = Vec::new();
+    // Consumers key records by (kernel, engine), so every engine label must
+    // name its configuration uniquely.
+    let mut keys = std::collections::HashSet::new();
     let mut push = |kernel: &str, engine: &str, m: &Measurement| {
+        assert!(
+            keys.insert((kernel.to_string(), engine.to_string())),
+            "duplicate BENCH_figures.json record ({kernel}, {engine})"
+        );
         let mut s = String::new();
         json_record(&mut s, kernel, engine, m);
         records.push(s);
@@ -842,7 +849,7 @@ fn json() {
         push(w.name, "qemu", &run_qemu(&w));
     }
     for w in workloads::loop_kernels(Scale(1)) {
-        push(w.name, "captive", &run_captive_loops(&w, true));
+        push(w.name, "captive-loops-on", &run_captive_loops(&w, true));
         push(w.name, "captive-loops-off", &run_captive_loops(&w, false));
         push(w.name, "captive-promote", &run_captive_promote(&w, true));
         push(w.name, "qemu+goto_tb", &run_qemu_goto_tb(&w));

@@ -1077,6 +1077,9 @@ impl Captive {
                         if let Some(region) = self.obtain_async(key, gen) {
                             return self.install_formed(region, prev, slot, gen);
                         }
+                        if self.quarantine.get(&key).is_some_and(|q| q.quarantined) {
+                            return next;
+                        }
                     }
                 }
             }
@@ -1189,6 +1192,20 @@ impl Captive {
         q.failures += 1;
         q.next_retry_heat = heat.saturating_mul(2).max(1);
         if q.failures >= QUARANTINE_AFTER && !q.quarantined {
+            q.quarantined = true;
+            self.stats.regions_quarantined += 1;
+        }
+    }
+
+    /// Records a failed formation for `key` and quarantines it at once: its
+    /// formation panicked on a tier-1 worker (see [`WorkerOutcome::Panicked`]).
+    fn quarantine_head(&mut self, key: RegionKey) {
+        self.record_formation_failure(key, 0);
+        let q = self
+            .quarantine
+            .get_mut(&key)
+            .expect("failure just recorded");
+        if !q.quarantined {
             q.quarantined = true;
             self.stats.regions_quarantined += 1;
         }
@@ -1340,6 +1357,15 @@ impl Captive {
                         if let Some(reuse) = &self.reuse {
                             reuse.publish_refusal(self.reuse_key_for(key), consumed);
                         }
+                        return None;
+                    }
+                    WorkerOutcome::Panicked { .. } => {
+                        // The formation code itself failed on this input;
+                        // re-running it synchronously would fail the same
+                        // way on the run thread, so the head is
+                        // quarantined and keeps its unformed translation.
+                        self.inflight.remove(&key);
+                        self.quarantine_head(key);
                         return None;
                     }
                     WorkerOutcome::NeedPages { mut request, pages } => {
@@ -2444,6 +2470,36 @@ mod tests {
         assert_eq!(tiered.stale_discards, 0, "nothing changed under it");
         assert_eq!(sync.tier1_requests, 0, "sync mode never publishes");
         assert_eq!(sync.regions_installed_async, 0);
+    }
+
+    #[test]
+    fn a_panicking_tier1_worker_degrades_the_run_instead_of_hanging_it() {
+        // Every tier-1 formation of this program panics (test-only fault
+        // injection keyed by entry address).  With two workers the run
+        // thread must still get an answer for each head it waits on,
+        // quarantine the head, and finish the guest on unformed code with
+        // the architectural result intact; pump mode behaves the same.
+        let base = 0x5_0000;
+        crate::tier::PANIC_AT
+            .lock()
+            .unwrap()
+            .push(base..base + 0x1000);
+        let words = multi_block_loop(3000);
+        for tier_workers in [2, 0] {
+            let mut c = Captive::new(CaptiveConfig {
+                tier_workers,
+                ..CaptiveConfig::default()
+            });
+            c.load_program(base, &words);
+            c.set_entry(base);
+            assert_eq!(c.run(200_000), RunExit::GuestHalted { code: 0 });
+            assert_eq!(c.guest_reg(9), 4_501_500);
+            let stats = c.stats();
+            assert!(stats.tier1_requests >= 1, "the hot head was published");
+            assert_eq!(stats.regions_installed_async, 0);
+            assert!(stats.regions_quarantined >= 1, "{tier_workers} workers");
+            assert_eq!(stats.formation_failures, stats.regions_quarantined);
+        }
     }
 
     #[test]

@@ -156,6 +156,14 @@ pub enum WorkerOutcome {
         /// Guest physical page bases to capture.
         pages: Vec<u64>,
     },
+    /// Formation panicked.  The unwind was caught on the worker (which
+    /// stays in the pool), so the run thread always gets an answer for the
+    /// request instead of waiting forever; it quarantines the head rather
+    /// than retrying code that just failed.
+    Panicked {
+        /// The panic payload, when it was a string.
+        message: String,
+    },
 }
 
 /// A worker's reply, routed back to the run thread.
@@ -292,10 +300,48 @@ impl TraceSource for SnapshotSource<'_> {
     }
 }
 
+/// Entry-address ranges whose formation panics: fault injection for the
+/// containment tests.
+#[cfg(test)]
+pub(crate) static PANIC_AT: Mutex<Vec<std::ops::Range<u64>>> = Mutex::new(Vec::new());
+
+/// [`process`] with any panic caught and answered as
+/// [`WorkerOutcome::Panicked`], so one failing request can neither kill a
+/// worker nor leave the run thread waiting for a result that never comes.
+fn process_contained(
+    isa: &Aarch64Isa,
+    memo: &DecodeMemo,
+    req: FormationRequest,
+) -> FormationResult {
+    let (seq, key) = (req.seq, req.key);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| process(isa, memo, req)))
+        .unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            FormationResult {
+                seq,
+                key,
+                outcome: WorkerOutcome::Panicked { message },
+            }
+        })
+}
+
 /// Forms one request against its snapshot.  Pure: reads only the request,
 /// so the same request always produces the same result — tier-1 outcomes
 /// are a deterministic function of what the run thread published.
 fn process(isa: &Aarch64Isa, memo: &DecodeMemo, req: FormationRequest) -> FormationResult {
+    #[cfg(test)]
+    {
+        let inject = PANIC_AT
+            .lock()
+            .unwrap()
+            .iter()
+            .any(|r| r.contains(&req.key.virt));
+        assert!(!inject, "injected tier-1 formation panic");
+    }
     let start = Instant::now();
     let mut timers = PhaseTimers::default();
     let mut source = SnapshotSource::new(&req.snapshot, memo);
@@ -382,7 +428,7 @@ impl TierService {
                                 Ok(r) => r,
                                 Err(_) => break,
                             };
-                            if tx.send(process(&isa, &memo, req)).is_err() {
+                            if tx.send(process_contained(&isa, &memo, req)).is_err() {
                                 break;
                             }
                         }
@@ -427,7 +473,7 @@ impl TierService {
         match &mut self.backend {
             Backend::Pump(queue) => {
                 let req = queue.pop_front()?;
-                Some(process(&self.isa, &self.memo, req))
+                Some(process_contained(&self.isa, &self.memo, req))
             }
             Backend::Threads { res_rx, .. } => res_rx.recv().ok(),
         }
@@ -628,5 +674,42 @@ mod tests {
             after_first,
             "the second trace re-used every decode"
         );
+    }
+
+    #[test]
+    fn a_panicking_formation_is_answered_not_lost() {
+        // One request's formation panics on a worker.  The worker must
+        // answer it with a typed failure and stay in the pool: two more
+        // requests still form, and every recv returns.  (Before
+        // containment the panic killed the worker without a reply, and a
+        // run thread waiting in recv with the other worker alive hung.)
+        let poisoned = 0x7_3000;
+        PANIC_AT.lock().unwrap().push(poisoned..poisoned + 0x1000);
+        for workers in [2, 0] {
+            let mut service = TierService::new(workers);
+            let mut bad = request(snapshot_with_code(&self_loop_words(), poisoned), poisoned);
+            bad.seq = 7;
+            service.submit(bad);
+            for _ in 0..2 {
+                service.submit(request(
+                    snapshot_with_code(&self_loop_words(), 0x1000),
+                    0x1000,
+                ));
+            }
+            let (mut panicked, mut formed) = (0, 0);
+            for _ in 0..3 {
+                let result = service.recv().expect("every request is answered");
+                match result.outcome {
+                    WorkerOutcome::Panicked { message } => {
+                        assert_eq!((result.seq, result.key.virt), (7, poisoned));
+                        assert!(message.contains("injected"), "{message}");
+                        panicked += 1;
+                    }
+                    WorkerOutcome::Formed { .. } => formed += 1,
+                    other => panic!("unexpected outcome {other:?}"),
+                }
+            }
+            assert_eq!((panicked, formed), (1, 2), "{workers} workers");
+        }
     }
 }

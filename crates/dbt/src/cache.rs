@@ -852,6 +852,32 @@ impl CodeCache {
         self.total_encoded_bytes()
     }
 
+    /// Content digest of the resident host code: FNV-1a over every region's
+    /// key and byte-encoded instructions, in key order.  Two runs that leave
+    /// byte-identical translations at the same keys agree; any codegen
+    /// change to a resident region changes it.
+    pub fn code_digest(&self) -> u64 {
+        let mut regions: Vec<(RegionKey, Arc<Vec<MachInsn>>)> = self
+            .shards
+            .iter()
+            .flat_map(|s| {
+                s.read()
+                    .unwrap()
+                    .iter()
+                    .map(|(k, slot)| (*k, Arc::clone(&slot.region.code)))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        regions.sort_by_key(|r| (r.0.phys, r.0.virt));
+        let mut bytes = Vec::new();
+        for (key, code) in &regions {
+            bytes.extend_from_slice(&key.phys.to_le_bytes());
+            bytes.extend_from_slice(&key.virt.to_le_bytes());
+            bytes.extend_from_slice(&hvm::encode::encode_block(code));
+        }
+        fnv1a(&bytes)
+    }
+
     /// Total guest instructions covered by cached regions.
     pub fn total_guest_insns(&self) -> usize {
         self.shards

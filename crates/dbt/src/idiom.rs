@@ -90,7 +90,9 @@
 //! cached code is never shared across different rule sets.
 
 use crate::cache::fnv1a;
-use crate::lir::{LirBase, LirInsn, LirMem, LirOperand, RegFileAccess, Vreg, VregClass};
+use crate::lir::{
+    label_bound, vreg_bound, LirBase, LirInsn, LirMem, LirOperand, RegFileAccess, Vreg, VregClass,
+};
 use crate::regalloc::host_flags_live_after;
 use hvm::{AluOp, Cond, MemSize};
 use std::sync::OnceLock;
@@ -332,24 +334,162 @@ impl IdiomStats {
 // Shared recogniser plumbing
 // ---------------------------------------------------------------------------
 
-/// Index of the last definition of `v` strictly before `idx`.
-fn last_def_before(lir: &[LirInsn], v: Vreg, idx: usize) -> Option<usize> {
-    lir[..idx].iter().rposition(|i| i.def() == Some(v))
+/// One pass's position index over a unit: definition sites per vreg, use
+/// counts, and prefix/forward tables for the span, NZCV-store and
+/// flag-access queries.  Every query the recognisers make is a table lookup
+/// or a binary search instead of a scan, so a pass stays linear in unit
+/// length (up to a log factor) however many sites it inspects.  The index
+/// is exact while the pass leaves definitions, barriers, regfile stores and
+/// flag accesses where they are: [`fuse_branches`] collects every site on
+/// the unmodified unit before rewriting, and [`fold_addressing`] rewrites
+/// only memory operands, so one index per pass suffices.
+struct Unit<'a> {
+    lir: &'a [LirInsn],
+    /// Definition positions grouped by vreg id, ascending within a group:
+    /// `def_pos[def_start[id]..def_start[id + 1]]`.
+    def_start: Vec<u32>,
+    def_pos: Vec<u32>,
+    /// Reads of each vreg across the unit.
+    uses: Vec<u32>,
+    /// `barriers[i]`: span barriers ([`is_barrier`]) in `lir[..i]`.
+    barriers: Vec<u32>,
+    /// `nzcv_store[i]`: the store that produced the NZCV value a load at `i`
+    /// reads — the nearest preceding store to the slot, when it is a
+    /// full-width register store and nothing between can change or alias
+    /// the slot.
+    nzcv_store: Vec<Option<u32>>,
+    /// `next_flag_access[i]`: the first position at or after `i` that reads
+    /// or writes the host flags (`lir.len()` when none does).
+    next_flag_access: Vec<u32>,
 }
 
-/// True when `v` has the same reaching definition at positions `a` and `b`
-/// (reading just before each) — the value re-read at `b` is the value that
-/// was read at `a`.
-fn same_reaching_def(lir: &[LirInsn], v: Vreg, a: usize, b: usize) -> bool {
-    let da = last_def_before(lir, v, a);
-    da.is_some() && da == last_def_before(lir, v, b)
-}
-
-fn operand_stable(lir: &[LirInsn], op: LirOperand, a: usize, b: usize) -> bool {
-    match op {
-        LirOperand::Imm(_) => true,
-        LirOperand::Vreg(v) => same_reaching_def(lir, v, a, b),
+impl<'a> Unit<'a> {
+    fn new(lir: &'a [LirInsn], nzcv_off: i32) -> Unit<'a> {
+        // One forward pass counts definitions and uses (growing the vreg
+        // tables as ids appear) and fills the prefix and NZCV tables; a
+        // second places the definitions.
+        let mut def_start = vec![0u32; 1];
+        let mut uses = Vec::new();
+        let mut barriers = Vec::with_capacity(lir.len() + 1);
+        let mut nzcv_store = Vec::with_capacity(lir.len());
+        let slot = nzcv_slot(nzcv_off);
+        let (mut barrier_count, mut last_store) = (0u32, None);
+        for (k, insn) in lir.iter().enumerate() {
+            if let Some(d) = insn.def() {
+                let at = d.id as usize + 1;
+                if at >= def_start.len() {
+                    def_start.resize(at + 1, 0);
+                }
+                def_start[at] += 1;
+            }
+            insn.for_each_use(|u| {
+                let at = u.id as usize;
+                if at >= uses.len() {
+                    uses.resize(at + 1, 0);
+                }
+                uses[at] += 1;
+            });
+            barriers.push(barrier_count);
+            barrier_count += is_barrier(insn) as u32;
+            nzcv_store.push(last_store);
+            if let Some(acc) = insn.regfile_store() {
+                if acc.overlaps(&slot) {
+                    // Must be a full-width register store of the slot.
+                    last_store = match insn {
+                        LirInsn::Store { size, .. } if acc == slot && *size == MemSize::U64 => {
+                            Some(k as u32)
+                        }
+                        _ => None,
+                    };
+                }
+            } else if insn.invalidates_regfile_values() || matches!(insn, LirInsn::BackEdge { .. })
+            {
+                last_store = None;
+            }
+        }
+        barriers.push(barrier_count);
+        let vregs = uses.len().max(def_start.len() - 1);
+        uses.resize(vregs, 0);
+        def_start.resize(vregs + 1, 0);
+        for id in 0..vregs {
+            def_start[id + 1] += def_start[id];
+        }
+        let mut fill = def_start.clone();
+        let mut def_pos = vec![0u32; def_start[vregs] as usize];
+        for (k, insn) in lir.iter().enumerate() {
+            if let Some(d) = insn.def() {
+                let at = &mut fill[d.id as usize];
+                def_pos[*at as usize] = k as u32;
+                *at += 1;
+            }
+        }
+        let mut next_flag_access = vec![lir.len() as u32; lir.len() + 1];
+        for (k, insn) in lir.iter().enumerate().rev() {
+            if insn.reads_host_flags() || insn.writes_host_flags() {
+                next_flag_access[k] = k as u32;
+            } else {
+                next_flag_access[k] = next_flag_access[k + 1];
+            }
+        }
+        Unit {
+            lir,
+            def_start,
+            def_pos,
+            uses,
+            barriers,
+            nzcv_store,
+            next_flag_access,
+        }
     }
+
+    /// Index of the last definition of `v` strictly before `idx`.
+    fn last_def_before(&self, v: Vreg, idx: usize) -> Option<usize> {
+        let id = v.id as usize;
+        let defs = &self.def_pos[self.def_start[id] as usize..self.def_start[id + 1] as usize];
+        let k = defs.partition_point(|&p| (p as usize) < idx);
+        k.checked_sub(1).map(|k| defs[k] as usize)
+    }
+
+    /// True when `v` has the same reaching definition at positions `a` and
+    /// `b` (reading just before each) — the value re-read at `b` is the
+    /// value that was read at `a`.
+    fn same_reaching_def(&self, v: Vreg, a: usize, b: usize) -> bool {
+        let da = self.last_def_before(v, a);
+        da.is_some() && da == self.last_def_before(v, b)
+    }
+
+    fn operand_stable(&self, op: LirOperand, a: usize, b: usize) -> bool {
+        match op {
+            LirOperand::Imm(_) => true,
+            LirOperand::Vreg(v) => self.same_reaching_def(v, a, b),
+        }
+    }
+
+    /// True when the open span `(from, to)` contains a join, call or unit
+    /// exit that could invalidate a traced value.
+    fn span_has_barrier(&self, from: usize, to: usize) -> bool {
+        self.barriers[to] > self.barriers[from + 1]
+    }
+}
+
+/// Joins, calls and unit exits — the instructions a traced value may not
+/// cross (see [`Unit::span_has_barrier`]).  `TraceEdge`, `Jcc` and PC updates
+/// are transparent.
+fn is_barrier(insn: &LirInsn) -> bool {
+    matches!(
+        insn,
+        LirInsn::Label { .. }
+            | LirInsn::Jmp { .. }
+            | LirInsn::BackEdge { .. }
+            | LirInsn::Ret
+            | LirInsn::CallHelper { .. }
+            | LirInsn::Int { .. }
+            | LirInsn::In { .. }
+            | LirInsn::Out { .. }
+            | LirInsn::Syscall
+            | LirInsn::TlbFlushAll
+            | LirInsn::TlbFlushPcid
+    )
 }
 
 /// The fixed NZCV regfile slot.
@@ -495,7 +635,7 @@ fn host_for_logic(g: GuestCc) -> Option<Cond> {
 /// chain shapes evaluate; anything else aborts the match.  Root load
 /// indices are appended to `roots`.
 fn eval_consumer(
-    lir: &[LirInsn],
+    u: &Unit,
     v: Vreg,
     before: usize,
     nzcv_off: i32,
@@ -506,10 +646,10 @@ fn eval_consumer(
     if depth > 24 {
         return None;
     }
-    let i = last_def_before(lir, v, before)?;
-    match &lir[i] {
+    let i = u.last_def_before(v, before)?;
+    match &u.lir[i] {
         LirInsn::Load { .. } => {
-            let slot = lir[i].regfile_load()?;
+            let slot = u.lir[i].regfile_load()?;
             if slot == nzcv_slot(nzcv_off) {
                 roots.push(i);
                 Some(nzcv_val)
@@ -519,18 +659,18 @@ fn eval_consumer(
         }
         LirInsn::MovImm { imm, .. } => Some(*imm),
         LirInsn::MovReg { src, .. } => {
-            eval_consumer(lir, *src, i, nzcv_off, nzcv_val, roots, depth + 1)
+            eval_consumer(u, *src, i, nzcv_off, nzcv_val, roots, depth + 1)
         }
         LirInsn::MovZx { src, size, .. } => {
-            let x = eval_consumer(lir, *src, i, nzcv_off, nzcv_val, roots, depth + 1)?;
+            let x = eval_consumer(u, *src, i, nzcv_off, nzcv_val, roots, depth + 1)?;
             Some(x & size.mask())
         }
         LirInsn::Alu { op, dst, src } => {
-            let a = eval_consumer(lir, *dst, i, nzcv_off, nzcv_val, roots, depth + 1)?;
+            let a = eval_consumer(u, *dst, i, nzcv_off, nzcv_val, roots, depth + 1)?;
             let b = match src {
                 LirOperand::Imm(imm) => *imm,
-                LirOperand::Vreg(u) => {
-                    eval_consumer(lir, *u, i, nzcv_off, nzcv_val, roots, depth + 1)?
+                LirOperand::Vreg(w) => {
+                    eval_consumer(u, *w, i, nzcv_off, nzcv_val, roots, depth + 1)?
                 }
             };
             apply_alu(*op, a, b)
@@ -542,16 +682,11 @@ fn eval_consumer(
 /// Classifies the branch condition value `cv` (read at `t`) as a guest
 /// condition over the stored NZCV nibble, returning the matched code and the
 /// earliest NZCV load the chain is rooted at.
-fn classify_consumer(
-    lir: &[LirInsn],
-    cv: Vreg,
-    t: usize,
-    nzcv_off: i32,
-) -> Option<(GuestCc, usize)> {
+fn classify_consumer(u: &Unit, cv: Vreg, t: usize, nzcv_off: i32) -> Option<(GuestCc, usize)> {
     let mut roots = Vec::new();
     let mut table = [false; 16];
     for (nz, holds) in table.iter_mut().enumerate() {
-        *holds = eval_consumer(lir, cv, t, nzcv_off, nz as u64, &mut roots, 0)? != 0;
+        *holds = eval_consumer(u, cv, t, nzcv_off, nz as u64, &mut roots, 0)? != 0;
     }
     let root_min = roots.iter().copied().min()?;
     let g = GUEST_CCS
@@ -580,20 +715,14 @@ enum Producer {
 
 /// Collects the leaves (SetCc results and shift-by-63 overflow terms) of
 /// the expression defining `v`, walking only pure chain shapes.
-fn collect_leaves(
-    lir: &[LirInsn],
-    v: Vreg,
-    before: usize,
-    out: &mut Vec<usize>,
-    depth: u32,
-) -> bool {
+fn collect_leaves(u: &Unit, v: Vreg, before: usize, out: &mut Vec<usize>, depth: u32) -> bool {
     if depth > 24 || out.len() > 8 {
         return false;
     }
-    let Some(i) = last_def_before(lir, v, before) else {
+    let Some(i) = u.last_def_before(v, before) else {
         return false;
     };
-    match &lir[i] {
+    match &u.lir[i] {
         LirInsn::SetCc { .. } => {
             if !out.contains(&i) {
                 out.push(i);
@@ -614,14 +743,14 @@ fn collect_leaves(
             if apply_alu(*op, 0, 0).is_none() {
                 return false;
             }
-            let a_ok = collect_leaves(lir, *dst, i, out, depth + 1);
+            let a_ok = collect_leaves(u, *dst, i, out, depth + 1);
             let b_ok = match src {
                 LirOperand::Imm(_) => true,
-                LirOperand::Vreg(u) => collect_leaves(lir, *u, i, out, depth + 1),
+                LirOperand::Vreg(w) => collect_leaves(u, *w, i, out, depth + 1),
             };
             a_ok && b_ok
         }
-        LirInsn::MovReg { src, .. } => collect_leaves(lir, *src, i, out, depth + 1),
+        LirInsn::MovReg { src, .. } => collect_leaves(u, *src, i, out, depth + 1),
         LirInsn::MovImm { .. } => true,
         _ => false,
     }
@@ -630,7 +759,7 @@ fn collect_leaves(
 /// Evaluates `v` just before `before` with the given leaf assignments
 /// (keyed by leaf instruction index).
 fn eval_with_leaves(
-    lir: &[LirInsn],
+    u: &Unit,
     v: Vreg,
     before: usize,
     leaves: &[(usize, u64)],
@@ -639,18 +768,18 @@ fn eval_with_leaves(
     if depth > 24 {
         return None;
     }
-    let i = last_def_before(lir, v, before)?;
+    let i = u.last_def_before(v, before)?;
     if let Some((_, val)) = leaves.iter().find(|(idx, _)| *idx == i) {
         return Some(*val);
     }
-    match &lir[i] {
+    match &u.lir[i] {
         LirInsn::MovImm { imm, .. } => Some(*imm),
-        LirInsn::MovReg { src, .. } => eval_with_leaves(lir, *src, i, leaves, depth + 1),
+        LirInsn::MovReg { src, .. } => eval_with_leaves(u, *src, i, leaves, depth + 1),
         LirInsn::Alu { op, dst, src } => {
-            let a = eval_with_leaves(lir, *dst, i, leaves, depth + 1)?;
+            let a = eval_with_leaves(u, *dst, i, leaves, depth + 1)?;
             let b = match src {
                 LirOperand::Imm(imm) => *imm,
-                LirOperand::Vreg(u) => eval_with_leaves(lir, *u, i, leaves, depth + 1)?,
+                LirOperand::Vreg(w) => eval_with_leaves(u, *w, i, leaves, depth + 1)?,
             };
             apply_alu(*op, a, b)
         }
@@ -660,28 +789,28 @@ fn eval_with_leaves(
 
 /// Unordered (first-operand, second-operand) pair of a `MovReg`+`Xor` chain
 /// defining `x` just before `before`.
-fn xor_pair(lir: &[LirInsn], x: Vreg, before: usize) -> Option<(Vreg, LirOperand)> {
-    let xi = last_def_before(lir, x, before)?;
+fn xor_pair(u: &Unit, x: Vreg, before: usize) -> Option<(Vreg, LirOperand)> {
+    let xi = u.last_def_before(x, before)?;
     let LirInsn::Alu {
         op: AluOp::Xor,
         dst,
         src,
-    } = &lir[xi]
+    } = &u.lir[xi]
     else {
         return None;
     };
-    let mi = last_def_before(lir, *dst, xi)?;
-    let LirInsn::MovReg { src: u, .. } = &lir[mi] else {
+    let mi = u.last_def_before(*dst, xi)?;
+    let LirInsn::MovReg { src: first, .. } = &u.lir[mi] else {
         return None;
     };
-    Some((*u, *src))
+    Some((*first, *src))
 }
 
 /// Classifies the stored value `s` (stored at `p`) as one of the two NZCV
 /// producer shapes.
-fn classify_producer(lir: &[LirInsn], s: Vreg, p: usize) -> Option<Producer> {
+fn classify_producer(u: &Unit, s: Vreg, p: usize) -> Option<Producer> {
     let mut leaves = Vec::new();
-    if !collect_leaves(lir, s, p, &mut leaves, 0) {
+    if !collect_leaves(u, s, p, &mut leaves, 0) {
         return None;
     }
     // Classify each leaf by role.
@@ -690,14 +819,14 @@ fn classify_producer(lir: &[LirInsn], s: Vreg, p: usize) -> Option<Producer> {
     let mut n_leaf: Option<(usize, Vreg, usize)> = None;
     let mut v_leaf: Option<usize> = None;
     for &li in &leaves {
-        match &lir[li] {
+        match &u.lir[li] {
             LirInsn::SetCc { cond, .. } => {
                 // The emitter materialises compares as an adjacent Cmp+SetCc
                 // pair; anything else is not a frontend flag leaf.
                 if li == 0 {
                     return None;
                 }
-                let LirInsn::Cmp { a, b } = &lir[li - 1] else {
+                let LirInsn::Cmp { a, b } = &u.lir[li - 1] else {
                     return None;
                 };
                 match (cond, b) {
@@ -729,48 +858,48 @@ fn classify_producer(lir: &[LirInsn], s: Vreg, p: usize) -> Option<Producer> {
     match (c_leaf, v_leaf) {
         (Some((cl, a, b, c_cmp)), Some(vl)) => {
             // Subtract shape.  Verify the result register really is a - b.
-            let ri = last_def_before(lir, r, z_cmp)?;
+            let ri = u.last_def_before(r, z_cmp)?;
             let LirInsn::Alu {
                 op: AluOp::Sub,
                 dst,
                 src,
-            } = &lir[ri]
+            } = &u.lir[ri]
             else {
                 return None;
             };
-            let rm = last_def_before(lir, *dst, ri)?;
-            let LirInsn::MovReg { src: r_base, .. } = &lir[rm] else {
+            let rm = u.last_def_before(*dst, ri)?;
+            let LirInsn::MovReg { src: r_base, .. } = &u.lir[rm] else {
                 return None;
             };
             if *r_base != a || *src != b {
                 return None;
             }
             // Verify the overflow chain: Shr63(And(Xor{a,b}, Xor{a,r})).
-            let LirInsn::Alu { dst: v_dst, .. } = &lir[vl] else {
+            let LirInsn::Alu { dst: v_dst, .. } = &u.lir[vl] else {
                 return None;
             };
-            let vm = last_def_before(lir, *v_dst, vl)?;
-            let LirInsn::MovReg { src: and_v, .. } = &lir[vm] else {
+            let vm = u.last_def_before(*v_dst, vl)?;
+            let LirInsn::MovReg { src: and_v, .. } = &u.lir[vm] else {
                 return None;
             };
-            let ai = last_def_before(lir, *and_v, vm)?;
+            let ai = u.last_def_before(*and_v, vm)?;
             let LirInsn::Alu {
                 op: AluOp::And,
                 dst: and_dst,
                 src: and_src,
-            } = &lir[ai]
+            } = &u.lir[ai]
             else {
                 return None;
             };
-            let am = last_def_before(lir, *and_dst, ai)?;
-            let LirInsn::MovReg { src: x1, .. } = &lir[am] else {
+            let am = u.last_def_before(*and_dst, ai)?;
+            let LirInsn::MovReg { src: x1, .. } = &u.lir[am] else {
                 return None;
             };
             let LirOperand::Vreg(x2) = and_src else {
                 return None;
             };
-            let p1 = xor_pair(lir, *x1, am)?;
-            let p2 = xor_pair(lir, *x2, ai)?;
+            let p1 = xor_pair(u, *x1, am)?;
+            let p2 = xor_pair(u, *x2, ai)?;
             let ab = (a, b);
             let ar = (a, LirOperand::Vreg(r));
             if !((p1 == ab && p2 == ar) || (p1 == ar && p2 == ab)) {
@@ -784,7 +913,7 @@ fn classify_producer(lir: &[LirInsn], s: Vreg, p: usize) -> Option<Producer> {
                     (zl, (bits >> 2) & 1),
                     (nl, (bits >> 3) & 1),
                 ];
-                if eval_with_leaves(lir, s, p, &assign, 0)? != bits {
+                if eval_with_leaves(u, s, p, &assign, 0)? != bits {
                     return None;
                 }
             }
@@ -799,7 +928,7 @@ fn classify_producer(lir: &[LirInsn], s: Vreg, p: usize) -> Option<Producer> {
             for bits in 0u64..4 {
                 let assign = [(zl, bits & 1), (nl, (bits >> 1) & 1)];
                 let expect = ((bits & 1) << 2) | (((bits >> 1) & 1) << 3);
-                if eval_with_leaves(lir, s, p, &assign, 0)? != expect {
+                if eval_with_leaves(u, s, p, &assign, 0)? != expect {
                     return None;
                 }
             }
@@ -827,51 +956,6 @@ fn find_jcc(lir: &[LirInsn], t: usize) -> Option<usize> {
     None
 }
 
-/// True when the open span `(from, to)` contains a join, call or unit exit
-/// that could invalidate a traced value.  `TraceEdge`, `Jcc` and PC updates
-/// are transparent.
-fn span_has_barrier(lir: &[LirInsn], from: usize, to: usize) -> bool {
-    lir[from + 1..to].iter().any(|i| {
-        matches!(
-            i,
-            LirInsn::Label { .. }
-                | LirInsn::Jmp { .. }
-                | LirInsn::BackEdge { .. }
-                | LirInsn::Ret
-                | LirInsn::CallHelper { .. }
-                | LirInsn::Int { .. }
-                | LirInsn::In { .. }
-                | LirInsn::Out { .. }
-                | LirInsn::Syscall
-                | LirInsn::TlbFlushAll
-                | LirInsn::TlbFlushPcid
-        )
-    })
-}
-
-/// Finds the store that produced the NZCV value read by the root load at
-/// `root`: the nearest preceding store to the NZCV slot, with nothing in
-/// between that could change or alias the slot.
-fn find_nzcv_store(lir: &[LirInsn], root: usize, nzcv_off: i32) -> Option<usize> {
-    let slot = nzcv_slot(nzcv_off);
-    for k in (0..root).rev() {
-        if let Some(acc) = lir[k].regfile_store() {
-            if acc.overlaps(&slot) {
-                // Must be a full-width register store of the slot.
-                return match &lir[k] {
-                    LirInsn::Store { size, .. } if acc == slot && *size == MemSize::U64 => Some(k),
-                    _ => None,
-                };
-            }
-            continue;
-        }
-        if lir[k].invalidates_regfile_values() || matches!(lir[k], LirInsn::BackEdge { .. }) {
-            return None;
-        }
-    }
-    None
-}
-
 struct FuseSite {
     t: usize,
     j: usize,
@@ -881,47 +965,31 @@ struct FuseSite {
     delete: Vec<usize>,
 }
 
-fn match_cbz(lir: &[LirInsn], cv: Vreg, t: usize, j: usize, jc: Cond) -> Option<FuseSite> {
-    let s = last_def_before(lir, cv, t)?;
-    let LirInsn::SetCc { cond: hc, .. } = lir[s] else {
+fn match_cbz(u: &Unit, cv: Vreg, t: usize, j: usize, jc: Cond) -> Option<FuseSite> {
+    let s = u.last_def_before(cv, t)?;
+    let LirInsn::SetCc { cond: hc, .. } = u.lir[s] else {
         return None;
     };
     if s == 0 {
         return None;
     }
-    let LirInsn::Cmp { a, b } = lir[s - 1] else {
+    let LirInsn::Cmp { a, b } = u.lir[s - 1] else {
         return None;
     };
-    if !same_reaching_def(lir, a, s - 1, t) || !operand_stable(lir, b, s - 1, t) {
+    if !u.same_reaching_def(a, s - 1, t) || !u.operand_stable(b, s - 1, t) {
         return None;
     }
-    if span_has_barrier(lir, s - 1, t) {
+    if u.span_has_barrier(s - 1, t) {
         return None;
     }
     // Delete the materialisation when the boolean has no other consumer
     // (Test reads cv twice), and the original compare when its flags feed
     // nothing else before the next flag write.
     let mut delete = Vec::new();
-    let mut uses = Vec::new();
-    let mut cv_uses = 0usize;
-    for insn in lir {
-        uses.clear();
-        insn.uses(&mut uses);
-        cv_uses += uses.iter().filter(|u| **u == cv).count();
-    }
-    if cv_uses == 2 {
+    if u.uses[cv.id as usize] == 2 {
         delete.push(s);
-        let mut cmp_free = true;
-        for insn in &lir[s + 1..] {
-            if insn.reads_host_flags() {
-                cmp_free = false;
-                break;
-            }
-            if insn.writes_host_flags() {
-                break;
-            }
-        }
-        if cmp_free {
+        let next = u.next_flag_access[s + 1] as usize;
+        if u.lir.get(next).is_none_or(|insn| !insn.reads_host_flags()) {
             delete.push(s - 1);
         }
     }
@@ -936,26 +1004,19 @@ fn match_cbz(lir: &[LirInsn], cv: Vreg, t: usize, j: usize, jc: Cond) -> Option<
     })
 }
 
-fn match_nzcv(
-    lir: &[LirInsn],
-    cv: Vreg,
-    t: usize,
-    j: usize,
-    jc: Cond,
-    nzcv_off: i32,
-) -> Option<FuseSite> {
-    let (g, root_min) = classify_consumer(lir, cv, t, nzcv_off)?;
-    let p = find_nzcv_store(lir, root_min, nzcv_off)?;
-    let LirInsn::Store { src: s, .. } = lir[p] else {
+fn match_nzcv(u: &Unit, cv: Vreg, t: usize, j: usize, jc: Cond, nzcv_off: i32) -> Option<FuseSite> {
+    let (g, root_min) = classify_consumer(u, cv, t, nzcv_off)?;
+    let p = u.nzcv_store[root_min]? as usize;
+    let LirInsn::Store { src: s, .. } = u.lir[p] else {
         return None;
     };
-    let producer = classify_producer(lir, s, p)?;
+    let producer = classify_producer(u, s, p)?;
     match producer {
         Producer::Sub { a, b, anchor } => {
-            if span_has_barrier(lir, anchor, t) {
+            if u.span_has_barrier(anchor, t) {
                 return None;
             }
-            if !same_reaching_def(lir, a, anchor, t) || !operand_stable(lir, b, anchor, t) {
+            if !u.same_reaching_def(a, anchor, t) || !u.operand_stable(b, anchor, t) {
                 return None;
             }
             let host = host_for_sub(g);
@@ -970,10 +1031,10 @@ fn match_nzcv(
             })
         }
         Producer::Logic { r, anchor } => {
-            if span_has_barrier(lir, anchor, t) {
+            if u.span_has_barrier(anchor, t) {
                 return None;
             }
-            if !same_reaching_def(lir, r, anchor, t) {
+            if !u.same_reaching_def(r, anchor, t) {
                 return None;
             }
             let host = host_for_logic(g)?;
@@ -998,6 +1059,7 @@ fn match_nzcv(
 /// host compare-and-branch, when the host flags are dead after the branch.
 pub fn fuse_branches(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut IdiomStats) {
     let flags_live = host_flags_live_after(lir);
+    let u = Unit::new(lir, nzcv(table));
     let mut sites: Vec<FuseSite> = Vec::new();
     for t in 0..lir.len() {
         let LirInsn::Test {
@@ -1025,7 +1087,7 @@ pub fn fuse_branches(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut Idio
             continue;
         }
         let site =
-            match_cbz(lir, cv, t, j, jc).or_else(|| match_nzcv(lir, cv, t, j, jc, nzcv(table)));
+            match_cbz(&u, cv, t, j, jc).or_else(|| match_nzcv(&u, cv, t, j, jc, nzcv(table)));
         if let Some(site) = site {
             stats.candidates[site.kind.index()] += 1;
             if table.enabled(site.kind) {
@@ -1088,24 +1150,24 @@ fn set_mem(insn: &mut LirInsn, new: LirMem) {
 
 /// Matches `y = i << k` (`k <= 3`) defined before `before`, with `i` stable
 /// up to `use_at`.  Returns the pre-shift register and the x86 scale.
-fn shift_chain(lir: &[LirInsn], y: Vreg, before: usize, use_at: usize) -> Option<(Vreg, u8)> {
-    let sd = last_def_before(lir, y, before)?;
+fn shift_chain(u: &Unit, y: Vreg, before: usize, use_at: usize) -> Option<(Vreg, u8)> {
+    let sd = u.last_def_before(y, before)?;
     let LirInsn::Alu {
         op: AluOp::Shl,
         dst,
         src: LirOperand::Imm(k),
-    } = &lir[sd]
+    } = &u.lir[sd]
     else {
         return None;
     };
     if *k > 3 {
         return None;
     }
-    let sm = last_def_before(lir, *dst, sd)?;
-    let LirInsn::MovReg { src: i0, .. } = &lir[sm] else {
+    let sm = u.last_def_before(*dst, sd)?;
+    let LirInsn::MovReg { src: i0, .. } = &u.lir[sm] else {
         return None;
     };
-    if i0.class != VregClass::Gpr || !same_reaching_def(lir, *i0, sd, use_at) {
+    if i0.class != VregClass::Gpr || !u.same_reaching_def(*i0, sd, use_at) {
         return None;
     }
     Some((*i0, 1u8 << *k))
@@ -1117,44 +1179,49 @@ fn shift_chain(lir: &[LirInsn], y: Vreg, before: usize, use_at: usize) -> Option
 /// that round-tripped through the register file (the `lsl`+`ldr_reg` guest
 /// idiom) are visible as register chains.
 pub fn fold_addressing(lir: &mut [LirInsn], table: &RuleTable, stats: &mut IdiomStats) {
-    for i in 0..lir.len() {
-        let Some(addr) = mem_of(&lir[i]) else {
+    // Sites are found on the unmodified unit and rewritten afterwards; a
+    // rewrite only touches its own memory operand, which no other site
+    // reads, so this is the same as rewriting in place.
+    let u = Unit::new(lir, nzcv(table));
+    let mut folds: Vec<(usize, LirMem)> = Vec::new();
+    for (i, insn) in lir.iter().enumerate() {
+        let Some(addr) = mem_of(insn) else {
             continue;
         };
         let (LirBase::Vreg(t), None) = (addr.base, addr.index) else {
             continue;
         };
-        let Some(d) = last_def_before(lir, t, i) else {
+        let Some(d) = u.last_def_before(t, i) else {
             continue;
         };
         let LirInsn::Alu {
             op: AluOp::Add,
             dst,
             src: LirOperand::Vreg(y),
-        } = lir[d]
+        } = u.lir[d]
         else {
             continue;
         };
-        let Some(m) = last_def_before(lir, dst, d) else {
+        let Some(m) = u.last_def_before(dst, d) else {
             continue;
         };
-        let LirInsn::MovReg { src: x, .. } = lir[m] else {
+        let LirInsn::MovReg { src: x, .. } = u.lir[m] else {
             continue;
         };
         if x.class != VregClass::Gpr || y.class != VregClass::Gpr {
             continue;
         }
         // Both summands must still hold their add-time values at the access.
-        if !same_reaching_def(lir, x, d, i) || !same_reaching_def(lir, y, d, i) {
+        if !u.same_reaching_def(x, d, i) || !u.same_reaching_def(y, d, i) {
             continue;
         }
-        let folded = if let Some((i0, scale)) = shift_chain(lir, y, d, i) {
+        let folded = if let Some((i0, scale)) = shift_chain(&u, y, d, i) {
             LirMem {
                 base: LirBase::Vreg(x),
                 index: Some((i0, scale)),
                 disp: addr.disp,
             }
-        } else if let Some((i0, scale)) = shift_chain(lir, x, d, i) {
+        } else if let Some((i0, scale)) = shift_chain(&u, x, d, i) {
             LirMem {
                 base: LirBase::Vreg(y),
                 index: Some((i0, scale)),
@@ -1169,9 +1236,12 @@ pub fn fold_addressing(lir: &mut [LirInsn], table: &RuleTable, stats: &mut Idiom
         };
         stats.candidates[RuleKind::AddrFold.index()] += 1;
         if table.enabled(RuleKind::AddrFold) {
-            set_mem(&mut lir[i], folded);
-            stats.fused[RuleKind::AddrFold.index()] += 1;
+            folds.push((i, folded));
         }
+    }
+    stats.fused[RuleKind::AddrFold.index()] += folds.len() as u32;
+    for (i, folded) in folds {
+        set_mem(&mut lir[i], folded);
     }
 }
 
@@ -1192,36 +1262,14 @@ struct MemsetLoop {
 /// pointer, the pointer incremented by one and the counter decremented by
 /// one (both through the register file), and a fused `Cmp cnt',0; Jcc Eq`
 /// loop exit — plus PC bookkeeping.  Anything else refuses the match.
-fn match_memset(lir: &[LirInsn], h: usize, e: usize, nzcv_off: i32) -> Option<MemsetLoop> {
-    // Use counts over the whole unit let the matcher skip instructions whose
-    // result is provably unconsumed (fusion leftovers ahead of DCE).
-    let mut use_count = vec![0u32; 0];
-    let max_id = lir
-        .iter()
-        .flat_map(|i| {
-            let mut u = Vec::new();
-            i.uses(&mut u);
-            u.into_iter().map(|v| v.id).chain(i.def().map(|d| d.id))
-        })
-        .max()
-        .unwrap_or(0);
-    use_count.resize(max_id as usize + 1, 0);
-    let mut scratch = Vec::new();
-    for insn in lir {
-        scratch.clear();
-        insn.uses(&mut scratch);
-        for u in &scratch {
-            use_count[u.id as usize] += 1;
-        }
-    }
-
+fn match_memset(u: &Unit, h: usize, e: usize, nzcv_off: i32) -> Option<MemsetLoop> {
     let mut byte_store: Option<(usize, Vreg, Vreg)> = None; // (idx, value, addr base)
     let mut slot_loads: Vec<(usize, i32, Vreg)> = Vec::new();
     let mut slot_stores: Vec<(usize, i32, Vreg)> = Vec::new();
     let mut cmp: Option<(usize, Vreg)> = None;
     let mut jcc: Option<usize> = None;
     let mut first_incpc: Option<usize> = None;
-    for (k, insn) in lir.iter().enumerate().take(e).skip(h + 1) {
+    for (k, insn) in u.lir.iter().enumerate().take(e).skip(h + 1) {
         match insn {
             LirInsn::IncPc { .. } => {
                 if first_incpc.is_none() {
@@ -1279,9 +1327,7 @@ fn match_memset(lir: &[LirInsn], h: usize, e: usize, nzcv_off: i32) -> Option<Me
                 // (pre-DCE fusion residue), refuse everything else.
                 let harmless = match other.def() {
                     Some(d) => {
-                        use_count[d.id as usize] == 0
-                            && !other.has_side_effect()
-                            && !other.may_fault()
+                        u.uses[d.id as usize] == 0 && !other.has_side_effect() && !other.may_fault()
                     }
                     None => false,
                 };
@@ -1298,7 +1344,7 @@ fn match_memset(lir: &[LirInsn], h: usize, e: usize, nzcv_off: i32) -> Option<Me
         return None;
     }
     // The compare must be the instruction the exit branch consumes.
-    if find_jcc(lir, cmp_idx) != Some(jcc_idx) {
+    if find_jcc(u.lir, cmp_idx) != Some(jcc_idx) {
         return None;
     }
     // The byte store must belong to the first guest instruction of the loop
@@ -1313,27 +1359,27 @@ fn match_memset(lir: &[LirInsn], h: usize, e: usize, nzcv_off: i32) -> Option<Me
     }
     // Trace each store back through `MovReg t <- base; Alu t, Imm 1`.
     let trace_update = |src: Vreg, at: usize, op: AluOp| -> Option<Vreg> {
-        let d = last_def_before(lir, src, at)?;
+        let d = u.last_def_before(src, at)?;
         let LirInsn::Alu {
             op: got,
             dst,
             src: LirOperand::Imm(1),
-        } = &lir[d]
+        } = &u.lir[d]
         else {
             return None;
         };
         if *got != op {
             return None;
         }
-        let m = last_def_before(lir, *dst, d)?;
-        let LirInsn::MovReg { src: base, .. } = &lir[m] else {
+        let m = u.last_def_before(*dst, d)?;
+        let LirInsn::MovReg { src: base, .. } = &u.lir[m] else {
             return None;
         };
         Some(*base)
     };
     // A role register must be this iteration's in-window load of its slot.
     let loaded_from = |v: Vreg, at: usize| -> Option<i32> {
-        let d = last_def_before(lir, v, at)?;
+        let d = u.last_def_before(v, at)?;
         slot_loads
             .iter()
             .find(|(k, _, dst)| *k == d && *dst == v)
@@ -1372,8 +1418,8 @@ fn match_memset(lir: &[LirInsn], h: usize, e: usize, nzcv_off: i32) -> Option<Me
     // The exit compare must read the decremented counter: either the Sub
     // result itself (the value the counter store wrote) or a reload of the
     // slot after the write-back.
-    let cmp_src = last_def_before(lir, cmp_reg, cmp_idx)?;
-    let reads_new_cnt = match &lir[cmp_src] {
+    let cmp_src = u.last_def_before(cmp_reg, cmp_idx)?;
+    let reads_new_cnt = match &u.lir[cmp_src] {
         LirInsn::Alu {
             op: AluOp::Sub,
             src: LirOperand::Imm(1),
@@ -1383,10 +1429,10 @@ fn match_memset(lir: &[LirInsn], h: usize, e: usize, nzcv_off: i32) -> Option<Me
                 .iter()
                 .find(|(k, _, _)| *k == cnt_store_idx)
                 .copied()?;
-            last_def_before(lir, st_src, cnt_store_idx) == Some(cmp_src)
+            u.last_def_before(st_src, cnt_store_idx) == Some(cmp_src)
         }
         LirInsn::Load { .. } => {
-            lir[cmp_src].regfile_load()
+            u.lir[cmp_src].regfile_load()
                 == Some(RegFileAccess {
                     offset: cnt_off,
                     size: MemSize::U64,
@@ -1473,9 +1519,10 @@ pub fn rewrite_bulk_loops(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut
         }
     }
     segments.push((seg_start, e));
+    let u = Unit::new(lir, nzcv(table));
     let mut roles: Option<MemsetLoop> = None;
     for &(s0, s1) in &segments {
-        let Some(r) = match_memset(lir, s0, s1, nzcv(table)) else {
+        let Some(r) = match_memset(&u, s0, s1, nzcv(table)) else {
             return;
         };
         match &roles {
@@ -1495,15 +1542,7 @@ pub fn rewrite_bulk_loops(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut
     }
     stats.fused[RuleKind::BulkMemset.index()] += 1;
 
-    let mut next_id = lir
-        .iter()
-        .flat_map(|i| {
-            let mut u = Vec::new();
-            i.uses(&mut u);
-            u.into_iter().map(|v| v.id).chain(i.def().map(|d| d.id))
-        })
-        .max()
-        .map_or(0, |m| m + 1);
+    let mut next_id = vreg_bound(lir) as u32;
     let mut fresh = || {
         let v = Vreg {
             id: next_id,
@@ -1512,16 +1551,7 @@ pub fn rewrite_bulk_loops(lir: &mut Vec<LirInsn>, table: &RuleTable, stats: &mut
         next_id += 1;
         v
     };
-    let byte_label = lir
-        .iter()
-        .map(|i| match i {
-            LirInsn::Label { id } => *id + 1,
-            LirInsn::Jmp { label } | LirInsn::Jcc { label, .. } => *label + 1,
-            LirInsn::BackEdge { label, .. } => *label + 1,
-            _ => 0,
-        })
-        .max()
-        .unwrap_or(0);
+    let byte_label = label_bound(lir) as u32;
 
     let rf = LirMem::regfile;
     let (va, vn, vp, vv, vs, vab, vnb) = (

@@ -31,6 +31,20 @@
 //! the same structure but flushes it wholesale on translation-state changes.
 //! Wall-clock time spent in each phase is accumulated in
 //! [`timing::PhaseTimers`] for the Fig. 20 experiment.
+//!
+//! **Linear-time back end.**  Every pass between emission and lowering
+//! ([`opt`], [`idiom`], [`regalloc`]) runs in time linear in the unit's
+//! length (up to a log factor for binary searches and a small constant per
+//! register-file slot), because the online pipeline sits inside the JIT
+//! latency budget and promotion re-runs several passes per candidate.  The
+//! invariant that makes this cheap: virtual-register and label ids are
+//! *dense per unit* — the [`Emitter`] hands both out from counters starting
+//! at zero, one vreg counter shared by both register classes (so an id
+//! names one register whatever its class), and passes that mint new ones
+//! continue from [`lir::vreg_bound`]/[`lir::label_bound`].  Pass state is
+//! therefore kept in tables indexed by id (bitsets, position tables,
+//! definition-count stamps that retire stale facts in O(1)), never in
+//! hashed maps or by rescanning the unit per instruction.
 
 pub mod cache;
 pub mod emitter;
@@ -78,7 +92,9 @@ pub fn finish_translation(
     let mut idiom_stats = idiom::IdiomStats::default();
     if run_opt {
         // The optimiser sits between emission and register allocation; its
-        // wall-clock cost is accounted to the regalloc phase budget.
+        // wall-clock cost (idiom layer and promotion trials included) is
+        // accounted to `Phase::RegAlloc`, so `PhaseTimers::regalloc` reports
+        // optimiser plus allocator.
         let stats = timers.time(Phase::RegAlloc, || opt::optimize(&mut lir, promote, idioms));
         timers.opt_dead_stores += stats.dead_stores as u64;
         timers.opt_forwarded_loads += stats.forwarded_loads as u64;
@@ -102,17 +118,7 @@ pub fn finish_translation(
     // optimiser's net deletion count saturates at zero rather than going
     // negative.
     let elided = pre_opt.saturating_sub(lir.len()) + dce;
-    // Dirty carriers are defined at unit entry, so the linear scan hands
-    // them pool registers before anything else can claim one; a spilled
-    // carrier would make fault-time materialisation impossible and can only
-    // mean a broken invariant.
-    let promoted = dirty_carriers
-        .into_iter()
-        .map(|(off, v)| match allocation.assignment.get(&v.id) {
-            Some(regalloc::Assignment::Gpr(g)) => (off, *g),
-            other => panic!("promoted carrier {v:?} not in a host register: {other:?}"),
-        })
-        .collect();
+    let promoted = carrier_registers(&dirty_carriers, &allocation)?;
     let code = timers.time(Phase::Encode, || lower::lower(&lir, &allocation))?;
     let encoded = timers.time(Phase::Encode, || hvm::encode::encode_block(&code));
     Ok(FinishedTranslation {
@@ -122,6 +128,25 @@ pub fn finish_translation(
         promoted,
         idioms: idiom_stats,
     })
+}
+
+/// Resolves dirty promoted carriers to the host registers holding them.
+/// Carriers are defined at unit entry, so the linear scan hands them pool
+/// registers before anything else can claim one; a carrier that spilled (or
+/// was never assigned) would make fault-time materialisation impossible and
+/// can only mean a broken invariant, reported as a [`LowerError`] so the
+/// engine discards the translation like any other lowering defect.
+fn carrier_registers(
+    carriers: &[(i32, Vreg)],
+    allocation: &regalloc::Allocation,
+) -> Result<Vec<(i32, hvm::Gpr)>, LowerError> {
+    carriers
+        .iter()
+        .map(|&(off, v)| match allocation.get(v) {
+            Some(regalloc::Assignment::Gpr(g)) => Ok((off, g)),
+            _ => Err(LowerError::CarrierNotInRegister { vreg: v.id }),
+        })
+        .collect()
 }
 
 /// The back half of the pipeline's output (see [`finish_translation`]).
@@ -194,5 +219,46 @@ impl BlockTranslation {
         } else {
             self.encoded.len() as f64 / self.guest_insns as f64
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::lir::{LirMem, GPR_POOL};
+    use hvm::MemSize;
+
+    #[test]
+    fn a_spilled_promoted_carrier_is_a_lowering_error() {
+        // Saturate the GPR pool so the last-defined vreg spills, then claim
+        // it as a dirty carrier: resolution must refuse the translation
+        // with a typed error instead of panicking the host.
+        let n = GPR_POOL.len() as u32 + 1;
+        let v = |id| Vreg {
+            id,
+            class: crate::VregClass::Gpr,
+        };
+        let mut lir: Vec<LirInsn> = (0..n)
+            .map(|i| LirInsn::MovImm { dst: v(i), imm: 1 })
+            .collect();
+        lir.extend((0..n).map(|i| LirInsn::Store {
+            src: v(i),
+            addr: LirMem::regfile(8 * i as i32),
+            size: MemSize::U64,
+        }));
+        lir.push(LirInsn::Ret);
+        let allocation = regalloc::allocate(&lir);
+        assert!(matches!(
+            allocation.get(v(n - 1)),
+            Some(regalloc::Assignment::Spill(_))
+        ));
+        assert_eq!(
+            carrier_registers(&[(0, v(0)), (8, v(n - 1))], &allocation),
+            Err(LowerError::CarrierNotInRegister { vreg: n - 1 })
+        );
+        let in_register = carrier_registers(&[(0, v(0))], &allocation).expect("v0 has a register");
+        assert!(
+            matches!(allocation.get(v(0)), Some(regalloc::Assignment::Gpr(g)) if in_register == [(0, g)])
+        );
     }
 }

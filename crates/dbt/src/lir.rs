@@ -287,74 +287,112 @@ pub const GPR_POOL: [Gpr; 8] = [
     Gpr::R14,
 ];
 
+/// One past the largest virtual-register id `lir` mentions: the length of a
+/// vreg-indexed table for the unit.  Ids are dense per unit — the emitter
+/// hands them out from one counter shared by both classes, and the passes
+/// that mint registers (promotion carriers, bulk-move temporaries) continue
+/// from this bound — so such tables stay proportional to unit length.
+pub fn vreg_bound(lir: &[LirInsn]) -> usize {
+    let mut bound = 0u32;
+    for insn in lir {
+        insn.for_each_use(|v| bound = bound.max(v.id + 1));
+        if let Some(d) = insn.def() {
+            bound = bound.max(d.id + 1);
+        }
+    }
+    bound as usize
+}
+
+/// One past the largest label id `lir` binds or jumps to (labels are dense
+/// per unit, like vreg ids).
+pub fn label_bound(lir: &[LirInsn]) -> usize {
+    lir.iter()
+        .filter_map(|insn| match insn {
+            LirInsn::Label { id: label }
+            | LirInsn::Jmp { label }
+            | LirInsn::Jcc { label, .. }
+            | LirInsn::BackEdge { label, .. } => Some(*label as usize + 1),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0)
+}
+
 impl LirInsn {
     /// Virtual registers read by this instruction.
     pub fn uses(&self, out: &mut Vec<Vreg>) {
-        let mem = |m: &LirMem, out: &mut Vec<Vreg>| {
+        self.for_each_use(|v| out.push(v));
+    }
+
+    /// Calls `f` on every virtual register this instruction reads, in
+    /// [`LirInsn::uses`] order (the allocation-free form for hot passes).
+    pub fn for_each_use(&self, mut f: impl FnMut(Vreg)) {
+        fn mem(m: &LirMem, out: &mut impl FnMut(Vreg)) {
             if let LirBase::Vreg(v) = m.base {
-                out.push(v);
+                out(v);
             }
             if let Some((v, _)) = m.index {
-                out.push(v);
+                out(v);
             }
-        };
-        let op = |o: &LirOperand, out: &mut Vec<Vreg>| {
+        }
+        fn op(o: &LirOperand, out: &mut impl FnMut(Vreg)) {
             if let LirOperand::Vreg(v) = o {
-                out.push(*v);
+                out(*v);
             }
-        };
+        }
+        let out = &mut f;
         match self {
-            LirInsn::MovReg { src, .. } => out.push(*src),
+            LirInsn::MovReg { src, .. } => out(*src),
             LirInsn::Load { addr, .. }
             | LirInsn::LoadSx { addr, .. }
             | LirInsn::Lea { addr, .. } => mem(addr, out),
             LirInsn::Store { src, addr, .. } => {
-                out.push(*src);
+                out(*src);
                 mem(addr, out);
             }
             LirInsn::StoreImm { addr, .. } => mem(addr, out),
             LirInsn::Alu { dst, src, .. } => {
-                out.push(*dst);
+                out(*dst);
                 op(src, out);
             }
             LirInsn::Cmp { a, b } | LirInsn::Test { a, b } => {
-                out.push(*a);
+                out(*a);
                 op(b, out);
             }
-            LirInsn::Neg { dst } | LirInsn::Not { dst } => out.push(*dst),
-            LirInsn::MovZx { src, .. } | LirInsn::MovSx { src, .. } => out.push(*src),
+            LirInsn::Neg { dst } | LirInsn::Not { dst } => out(*dst),
+            LirInsn::MovZx { src, .. } | LirInsn::MovSx { src, .. } => out(*src),
             LirInsn::CmovCc { dst, src, .. } => {
-                out.push(*dst);
-                out.push(*src);
+                out(*dst);
+                out(*src);
             }
-            LirInsn::SetPcReg { src } => out.push(*src),
+            LirInsn::SetPcReg { src } => out(*src),
             LirInsn::SetArg { src, .. } => op(src, out),
             LirInsn::LoadXmm { addr, .. } => mem(addr, out),
             LirInsn::StoreXmm { src, addr, .. } => {
-                out.push(*src);
+                out(*src);
                 mem(addr, out);
             }
             LirInsn::GprToXmm { src, .. }
             | LirInsn::XmmToGpr { src, .. }
-            | LirInsn::MovXmm { src, .. } => out.push(*src),
+            | LirInsn::MovXmm { src, .. } => out(*src),
             LirInsn::Fp { dst, src, .. } | LirInsn::Vec { dst, src, .. } => {
-                out.push(*dst);
-                out.push(*src);
+                out(*dst);
+                out(*src);
             }
             LirInsn::FpFma { dst, a, b } => {
-                out.push(*dst);
-                out.push(*a);
-                out.push(*b);
+                out(*dst);
+                out(*a);
+                out(*b);
             }
             LirInsn::FpCmp { a, b } => {
-                out.push(*a);
-                out.push(*b);
+                out(*a);
+                out(*b);
             }
             LirInsn::CvtI2D { src, .. }
             | LirInsn::CvtD2I { src, .. }
             | LirInsn::CvtS2D { src, .. }
-            | LirInsn::CvtD2S { src, .. } => out.push(*src),
-            LirInsn::Out { src, .. } => out.push(*src),
+            | LirInsn::CvtD2S { src, .. } => out(*src),
+            LirInsn::Out { src, .. } => out(*src),
             _ => {}
         }
     }

@@ -29,23 +29,36 @@ pub const SPILL_AREA_OFFSET: i32 = -4096;
 /// `FpFma` whose operands all spilled still gets distinct reloads).
 const XMM_SCRATCH: [Xmm; 3] = [Xmm(13), Xmm(14), Xmm(15)];
 
-/// A lowering defect: virtual register `vreg` reached encoding with neither
-/// a physical assignment nor a spill slot.  Emitting code for it would read
-/// or clobber an arbitrary host register, so the translation must be
-/// abandoned instead.
+/// A lowering defect.  Emitting code past either kind would read or clobber
+/// an arbitrary host register, so the translation must be abandoned
+/// instead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LowerError {
-    /// Id of the unassigned virtual register.
-    pub vreg: u32,
+pub enum LowerError {
+    /// Virtual register `vreg` reached encoding with neither a physical
+    /// assignment nor a spill slot.
+    Unassigned {
+        /// Id of the unassigned virtual register.
+        vreg: u32,
+    },
+    /// Dirty promoted carrier `vreg` was not allocated a host register, so
+    /// a fault exit could not materialise its slot (see [`crate::opt`]).
+    CarrierNotInRegister {
+        /// Id of the carrier virtual register.
+        vreg: u32,
+    },
 }
 
 impl std::fmt::Display for LowerError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "virtual register v{} reached lowering without an assignment",
-            self.vreg
-        )
+        match self {
+            LowerError::Unassigned { vreg } => write!(
+                f,
+                "virtual register v{vreg} reached lowering without an assignment"
+            ),
+            LowerError::CarrierNotInRegister { vreg } => {
+                write!(f, "promoted carrier v{vreg} is not in a host register")
+            }
+        }
     }
 }
 
@@ -83,7 +96,7 @@ impl<'a> Lowerer<'a> {
     /// Records an unassigned-vreg defect (first one wins).
     fn fail(&mut self, v: Vreg) {
         if self.error.is_none() {
-            self.error = Some(LowerError { vreg: v.id });
+            self.error = Some(LowerError::Unassigned { vreg: v.id });
         }
     }
 
@@ -94,14 +107,14 @@ impl<'a> Lowerer<'a> {
     /// Resolves a GPR-class vreg for *reading*, reloading from its spill slot
     /// into a scratch register if necessary.
     fn use_gpr(&mut self, v: Vreg) -> Gpr {
-        match self.alloc.assignment.get(&v.id) {
-            Some(Assignment::Gpr(r)) => *r,
+        match self.alloc.get(v) {
+            Some(Assignment::Gpr(r)) => r,
             Some(Assignment::Spill(slot)) => {
                 let scratch = SCRATCH_GPRS[self.scratch_used % SCRATCH_GPRS.len()];
                 self.scratch_used += 1;
                 self.out.push(MachInsn::Load {
                     dst: scratch,
-                    addr: Self::spill_slot_addr(*slot),
+                    addr: Self::spill_slot_addr(slot),
                     size: MemSize::U64,
                 });
                 scratch
@@ -116,8 +129,8 @@ impl<'a> Lowerer<'a> {
     /// Resolves a GPR-class vreg for *writing*.  Returns the register to
     /// write plus an optional store-back to the spill slot.
     fn def_gpr(&mut self, v: Vreg) -> (Gpr, Option<MachInsn>) {
-        match self.alloc.assignment.get(&v.id) {
-            Some(Assignment::Gpr(r)) => (*r, None),
+        match self.alloc.get(v) {
+            Some(Assignment::Gpr(r)) => (r, None),
             Some(Assignment::Spill(slot)) => {
                 let scratch = SCRATCH_GPRS[self.scratch_used % SCRATCH_GPRS.len()];
                 self.scratch_used += 1;
@@ -125,7 +138,7 @@ impl<'a> Lowerer<'a> {
                     scratch,
                     Some(MachInsn::Store {
                         src: scratch,
-                        addr: Self::spill_slot_addr(*slot),
+                        addr: Self::spill_slot_addr(slot),
                         size: MemSize::U64,
                     }),
                 )
@@ -138,14 +151,14 @@ impl<'a> Lowerer<'a> {
     }
 
     fn use_xmm(&mut self, v: Vreg) -> Xmm {
-        match self.alloc.assignment.get(&v.id) {
-            Some(Assignment::Xmm(x)) => *x,
+        match self.alloc.get(v) {
+            Some(Assignment::Xmm(x)) => x,
             Some(Assignment::Spill(slot)) => {
                 let scratch = XMM_SCRATCH[self.xmm_scratch_used % XMM_SCRATCH.len()];
                 self.xmm_scratch_used += 1;
                 self.out.push(MachInsn::LoadXmm {
                     dst: scratch,
-                    addr: Self::spill_slot_addr(*slot),
+                    addr: Self::spill_slot_addr(slot),
                     size: MemSize::U128,
                 });
                 scratch
@@ -158,8 +171,8 @@ impl<'a> Lowerer<'a> {
     }
 
     fn def_xmm(&mut self, v: Vreg) -> (Xmm, Option<MachInsn>) {
-        match self.alloc.assignment.get(&v.id) {
-            Some(Assignment::Xmm(x)) => (*x, None),
+        match self.alloc.get(v) {
+            Some(Assignment::Xmm(x)) => (x, None),
             Some(Assignment::Spill(slot)) => {
                 let scratch = XMM_SCRATCH[self.xmm_scratch_used % XMM_SCRATCH.len()];
                 self.xmm_scratch_used += 1;
@@ -167,7 +180,7 @@ impl<'a> Lowerer<'a> {
                     scratch,
                     Some(MachInsn::StoreXmm {
                         src: scratch,
-                        addr: Self::spill_slot_addr(*slot),
+                        addr: Self::spill_slot_addr(slot),
                         size: MemSize::U128,
                     }),
                 )
@@ -184,10 +197,10 @@ impl<'a> Lowerer<'a> {
     /// instruction reads it), and the modified value is stored back after.
     fn rmw_gpr(&mut self, v: Vreg) -> (Gpr, Option<MachInsn>) {
         let reg = self.use_gpr(v);
-        let store_back = match self.alloc.assignment.get(&v.id) {
+        let store_back = match self.alloc.get(v) {
             Some(Assignment::Spill(slot)) => Some(MachInsn::Store {
                 src: reg,
-                addr: Self::spill_slot_addr(*slot),
+                addr: Self::spill_slot_addr(slot),
                 size: MemSize::U64,
             }),
             _ => None,
@@ -198,10 +211,10 @@ impl<'a> Lowerer<'a> {
     /// XMM-class equivalent of [`Lowerer::rmw_gpr`].
     fn rmw_xmm(&mut self, v: Vreg) -> (Xmm, Option<MachInsn>) {
         let reg = self.use_xmm(v);
-        let store_back = match self.alloc.assignment.get(&v.id) {
+        let store_back = match self.alloc.get(v) {
             Some(Assignment::Spill(slot)) => Some(MachInsn::StoreXmm {
                 src: reg,
-                addr: Self::spill_slot_addr(*slot),
+                addr: Self::spill_slot_addr(slot),
                 size: MemSize::U128,
             }),
             _ => None,
@@ -698,9 +711,9 @@ mod tests {
             LirInsn::Ret,
         ];
         let mut alloc = allocate(&lir);
-        alloc.assignment.remove(&1);
+        alloc.assignment[1] = None;
         let err = lower(&lir, &alloc).unwrap_err();
-        assert_eq!(err.vreg, 1);
+        assert_eq!(err, LowerError::Unassigned { vreg: 1 });
         assert!(err.to_string().contains("v1"));
     }
 
@@ -789,7 +802,7 @@ mod tests {
         lir.push(LirInsn::Ret);
         let alloc = allocate(&lir);
         assert!(
-            matches!(alloc.assignment[&n], crate::regalloc::Assignment::Spill(_)),
+            matches!(alloc.get(v(n)), Some(crate::regalloc::Assignment::Spill(_))),
             "the CmovCc destination must have spilled for this regression"
         );
         let code = lower(&lir, &alloc).expect("assignments are complete");

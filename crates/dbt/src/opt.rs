@@ -135,9 +135,8 @@
 //! only deleted when its covering store lands before any possible fault
 //! point, so no execution can observe the gap.
 
-use crate::lir::{LirBase, LirInsn, LirMem, RegFileAccess, Vreg, VregClass};
+use crate::lir::{vreg_bound, LirBase, LirInsn, LirMem, RegFileAccess, Vreg, VregClass};
 use hvm::MemSize;
-use std::collections::HashMap;
 
 /// Maximum slots promoted to loop-carried host registers per unit.  This is
 /// only an upper bound on ambition: the actual carrier count is settled by
@@ -378,7 +377,6 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
     // candidate is keyed by the offset of its U64 stores/loads; any
     // overlapping access that is an XMM access, a non-U64 store, or not at
     // the slot's own offset disqualifies it.
-    let mut profiles: HashMap<i32, SlotProfile> = HashMap::new();
     let mut accesses: Vec<(RegFileAccess, bool, bool, bool)> = Vec::new(); // (acc, xmm, store, in_span)
     for (i, insn) in lir.iter().enumerate() {
         let in_span = i > header && i < be;
@@ -390,24 +388,23 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
             accesses.push((acc, xmm, false, in_span));
         }
     }
-    for &(acc, xmm, _, _) in &accesses {
-        // U64 GPR accesses at their own offset seed candidates; loads
-        // narrower than the slot are allowed (rewritten with an explicit
-        // extension), narrow stores are not (they would merge bytes).
-        if !xmm && acc.size == MemSize::U64 {
-            profiles.entry(acc.offset).or_default();
-        }
-    }
+    // U64 GPR accesses at their own offset seed candidates; loads narrower
+    // than the slot are allowed (rewritten with an explicit extension),
+    // narrow stores are not (they would merge bytes).  Profiles are kept
+    // sorted by offset, so the slots an access overlaps form one window.
+    let mut profiles: Vec<(i32, SlotProfile)> = accesses
+        .iter()
+        .filter(|&&(acc, xmm, _, _)| !xmm && acc.size == MemSize::U64)
+        .map(|&(acc, ..)| (acc.offset, SlotProfile::default()))
+        .collect();
+    profiles.sort_by_key(|p| p.0);
+    profiles.dedup_by_key(|p| p.0);
+    let slot_bytes = MemSize::U64.bytes() as i32;
     for &(acc, xmm, store, in_span) in &accesses {
-        for (&off, p) in profiles.iter_mut() {
-            let slot = RegFileAccess {
-                offset: off,
-                size: MemSize::U64,
-            };
-            if !acc.overlaps(&slot) {
-                continue;
-            }
-            if xmm || acc.offset != off || (store && acc.size != MemSize::U64) {
+        let lo = profiles.partition_point(|&(off, _)| off + slot_bytes <= acc.start());
+        let hi = profiles.partition_point(|&(off, _)| off < acc.end());
+        for (off, p) in &mut profiles[lo..hi] {
+            if xmm || acc.offset != *off || (store && acc.size != MemSize::U64) {
                 p.disqualified = true;
                 continue;
             }
@@ -440,18 +437,7 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
     if candidates.is_empty() {
         return Vec::new();
     }
-    let mut next_id = 0u32;
-    let mut scratch = Vec::with_capacity(4);
-    for insn in lir.iter() {
-        scratch.clear();
-        insn.uses(&mut scratch);
-        if let Some(d) = insn.def() {
-            scratch.push(d);
-        }
-        for v in &scratch {
-            next_id = next_id.max(v.id + 1);
-        }
-    }
+    let next_id = vreg_bound(lir) as u32;
     // Price the unpromoted unit once, then grow the carrier set greedily:
     // each candidate (in priority order) is kept only if the allocator can
     // hold the unit with it added at no more spill slots than the
@@ -461,7 +447,7 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
     // hot slot whose carrier would be live through the body's worst window
     // can fail while a cooler slot whose loads already span that window
     // substitutes for free.
-    let base_spills = trial_spills(lir.clone(), &[]);
+    let base_spills = trial_spills(lir.to_vec(), &[]);
     let mut promoted: Vec<(i32, Vreg, bool)> = Vec::new(); // (offset, carrier, dirty)
     let mut dirty_count = 0usize;
     let mut id = next_id;
@@ -481,9 +467,7 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
             p.dirty,
         ));
         id += 1;
-        let mut rewritten = lir.clone();
-        let mut trial = OptStats::default();
-        apply_promotion(&mut rewritten, &promoted, header, be, &mut trial);
+        let rewritten = apply_promotion(lir, &promoted, header, be, &mut OptStats::default());
         let carriers: Vec<Vreg> = promoted.iter().map(|p| p.1).collect();
         if trial_spills(rewritten, &carriers) > base_spills {
             promoted.pop();
@@ -494,15 +478,17 @@ fn promote_loop_slots(lir: &mut Vec<LirInsn>, stats: &mut OptStats) -> Vec<Vreg>
     if promoted.is_empty() {
         return Vec::new();
     }
-    apply_promotion(lir, &promoted, header, be, stats);
+    *lir = apply_promotion(lir, &promoted, header, be, stats);
     promoted.iter().map(|p| p.1).collect()
 }
 
 /// Runs the scalar cleanup passes and the real allocator over a throwaway
 /// copy of the unit and reports how many spill slots it needs — the cost
-/// model behind promotion's trial allocation.  Translation-time cost is a
-/// handful of extra linear passes per *looping* unit, which region
-/// formation already makes rare.
+/// model behind promotion's trial allocation.  Each looping unit prices one
+/// base allocation plus one trial per candidate slot tried: about 16 runs
+/// of these four linear passes per looping unit, some 1,300-1,400 per pass
+/// of the benchmark's `cold` workload — the reason every pass here keeps
+/// its state in dense vreg-indexed tables.
 fn trial_spills(mut lir: Vec<LirInsn>, carriers: &[Vreg]) -> u32 {
     let mut scratch = OptStats::default();
     forward_stores_to_loads(&mut lir, &mut scratch);
@@ -514,14 +500,15 @@ fn trial_spills(mut lir: Vec<LirInsn>, carriers: &[Vreg]) -> u32 {
 /// The promotion rewrite for one settled carrier set: preheader entry
 /// loads, in-span deferral, out-of-span carrier refresh, compensation
 /// stores before every dispatcher return.  `header`/`be` are the loop-span
-/// indices in the *incoming* unit.
+/// indices in `lir`; the rewritten unit is returned, leaving `lir` intact
+/// for the next trial.
 fn apply_promotion(
-    lir: &mut Vec<LirInsn>,
+    lir: &[LirInsn],
     promoted: &[(i32, Vreg, bool)],
     header: usize,
     be: usize,
     stats: &mut OptStats,
-) {
+) -> Vec<LirInsn> {
     let carrier_for = |addr: &LirMem, size: MemSize| -> Option<(Vreg, bool)> {
         if !matches!(addr.base, LirBase::RegFile) || addr.index.is_some() {
             return None;
@@ -550,7 +537,7 @@ fn apply_promotion(
             size: MemSize::U64,
         });
     }
-    for (i, insn) in lir.drain(..).enumerate() {
+    for (i, &insn) in lir.iter().enumerate() {
         let in_span = i > header && i < be;
         match insn {
             LirInsn::Load { dst, addr, size } if carrier_for(&addr, size).is_some() => {
@@ -630,7 +617,7 @@ fn apply_promotion(
     stats
         .promoted
         .extend(promoted.iter().filter(|p| p.2).map(|&(off, c, _)| (off, c)));
-    *lir = out;
+    out
 }
 
 /// Carrier register of a promoted slot (the rewrite loop's lookups are
@@ -663,9 +650,10 @@ enum Stored {
 /// cannot rewrite a slot) keeps them alive, which is what lets forwarding
 /// survive the guest loads inside a hot loop body.
 fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
-    // offset -> (width, value): `value` describes the slot's content over
-    // `width` bytes, per the `Stored` semantics above.
-    let mut slots: HashMap<i32, (MemSize, Stored)> = HashMap::new();
+    let mut slots = SlotFacts {
+        facts: Vec::new(),
+        defs: vec![0; vreg_bound(lir)],
+    };
     for insn in lir.iter_mut() {
         // The fact this instruction newly establishes, installed only after
         // the invalidation steps below (so it is not killed by its own
@@ -681,7 +669,7 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
         {
             if let Some(acc) = insn.regfile_load() {
                 debug_assert_eq!(acc.offset, addr.disp);
-                match (slots.get(&acc.offset).copied(), size) {
+                match (slots.get(acc.offset), size) {
                     // Exact-width register match: the tracked value IS the
                     // loaded value (U64 entries are always exact; a U32
                     // entry must be, or the upper bits would differ).
@@ -762,7 +750,7 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
         // the file with a `movq`-style transfer.
         if let LirInsn::LoadXmm { dst, addr: _, size } = *insn {
             if let Some(acc) = insn.regfile_load() {
-                match (slots.get(&acc.offset).copied(), size) {
+                match (slots.get(acc.offset), size) {
                     // A U128 entry covers any load width at the slot; a U64
                     // entry only a U64 load (its upper lane is unspecified).
                     (
@@ -800,15 +788,10 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
             }
         }
         if insn.invalidates_regfile_values() {
-            slots.clear();
+            slots.facts.clear();
         } else if let Some(acc) = insn.regfile_store() {
             // Any overlapping byte is rewritten: drop stale entries.
-            slots.retain(|&off, &mut (sz, _)| {
-                !acc.overlaps(&RegFileAccess {
-                    offset: off,
-                    size: sz,
-                })
-            });
+            slots.kill_overlapping(acc);
             match (&*insn, acc.size) {
                 (LirInsn::Store { src, .. }, MemSize::U64) => {
                     new_fact = Some((
@@ -855,10 +838,62 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
         // A redefined virtual register no longer holds the stored value
         // (two-address ALU/vector operations mutate in place).
         if let Some(d) = insn.def() {
-            slots.retain(|_, (_, s)| !matches!(s, Stored::Reg { v, .. } if *v == d));
+            slots.defs[d.id as usize] += 1;
         }
         if let Some((off, width, value)) = new_fact {
-            slots.insert(off, (width, value));
+            slots.insert(off, width, value);
+        }
+    }
+}
+
+/// The forwarding pass's slot facts: `(offset, width, value, stamp)` sorted
+/// by offset, where `value` describes the slot's content over `width` bytes
+/// per the [`Stored`] semantics.  A register value is stamped with its
+/// vreg's definition count when recorded and only matches while the count
+/// is unchanged, so a redefinition retires every fact it fed in O(1)
+/// instead of a scan of the table.  Offsets are at most one per regfile
+/// slot, so the sorted table stays small and a store's overlap is a window.
+struct SlotFacts {
+    facts: Vec<(i32, MemSize, Stored, u32)>,
+    /// Definitions seen so far, per vreg id.
+    defs: Vec<u32>,
+}
+
+impl SlotFacts {
+    /// The live fact recorded at exactly `offset`.
+    fn get(&self, offset: i32) -> Option<(MemSize, Stored)> {
+        let k = self.facts.binary_search_by_key(&offset, |f| f.0).ok()?;
+        let (_, width, value, stamp) = self.facts[k];
+        match value {
+            Stored::Reg { v, .. } if self.defs[v.id as usize] != stamp => None,
+            _ => Some((width, value)),
+        }
+    }
+
+    /// Drops every fact sharing a byte with `acc`.
+    fn kill_overlapping(&mut self, acc: RegFileAccess) {
+        let widest = MemSize::U128.bytes() as i32;
+        let mut k = self.facts.partition_point(|f| f.0 + widest <= acc.start());
+        while k < self.facts.len() && self.facts[k].0 < acc.end() {
+            let (offset, size, ..) = self.facts[k];
+            if acc.overlaps(&RegFileAccess { offset, size }) {
+                self.facts.remove(k);
+            } else {
+                k += 1;
+            }
+        }
+    }
+
+    /// Records (or replaces) the fact at `offset`.
+    fn insert(&mut self, offset: i32, width: MemSize, value: Stored) {
+        let stamp = match value {
+            Stored::Reg { v, .. } => self.defs[v.id as usize],
+            Stored::Imm(_) => 0,
+        };
+        let fact = (offset, width, value, stamp);
+        match self.facts.binary_search_by_key(&offset, |f| f.0) {
+            Ok(k) => self.facts[k] = fact,
+            Err(k) => self.facts.insert(k, fact),
         }
     }
 }
@@ -891,20 +926,28 @@ fn forward_stores_to_loads(lir: &mut [LirInsn], stats: &mut OptStats) {
 /// slot.  The carrier invariant (carrier == architectural slot value at
 /// every instruction boundary) must survive every later pass.
 fn propagate_copies(lir: &mut [LirInsn], stats: &mut OptStats, pinned: &[Vreg]) {
-    let mut copies: HashMap<Vreg, Vreg> = HashMap::new();
+    // `copy_of[dst]` = (origin, origin's definition count when recorded,
+    // label epoch when recorded).  An entry only applies while both stamps
+    // still match, so redefinitions and labels retire entries in O(1).
+    let vregs = vreg_bound(lir);
+    let mut copy_of: Vec<Option<(Vreg, u32, u32)>> = vec![None; vregs];
+    let mut defs = vec![0u32; vregs];
+    let mut epoch = 0u32;
     for insn in lir.iter_mut() {
         // Rewrite first: the instruction reads register state from *before*
         // it executes.  One traversal substitutes every pending copy (the
         // map is flat, so a single lookup per operand suffices).
-        if !copies.is_empty() {
-            stats.copies_folded += insn.map_pure_uses(&mut |v| copies.get(&v).copied());
-        }
+        stats.copies_folded += insn.map_pure_uses(&mut |v| match copy_of[v.id as usize] {
+            Some((src, stamp, at)) if at == epoch && defs[src.id as usize] == stamp => Some(src),
+            _ => None,
+        });
         if matches!(insn, LirInsn::Label { .. }) {
-            copies.clear();
+            epoch += 1;
             continue;
         }
         if let Some(d) = insn.def() {
-            copies.retain(|&k, &mut v| k != d && v != d);
+            copy_of[d.id as usize] = None;
+            defs[d.id as usize] += 1;
         }
         if let LirInsn::MovReg { dst, src } = *insn {
             if dst.class == VregClass::Gpr
@@ -914,7 +957,7 @@ fn propagate_copies(lir: &mut [LirInsn], stats: &mut OptStats, pinned: &[Vreg]) 
             {
                 // `src` was already rewritten to its root above, so the map
                 // stays flat: no value is ever another entry's key.
-                copies.insert(dst, src);
+                copy_of[dst.id as usize] = Some((src, defs[src.id as usize], epoch));
             }
         }
     }

@@ -32,10 +32,15 @@
 //! across the back-edge on every iteration, so its range is extended to the
 //! back-edge's position — otherwise the scan could hand its register to a
 //! loop-local value whose linear range looks disjoint.
+//!
+//! Everything here is linear in the unit's length per fixpoint pass.  Vreg
+//! and label ids are dense per unit (see the crate docs), so the live set is
+//! a word bitset over vreg ids, each label's recorded state is one bitset
+//! row, first/last occurrences are `Vec`s indexed by id, and the result,
+//! [`Allocation::assignment`], is indexed by vreg id as well.
 
-use crate::lir::{LirInsn, Vreg, VregClass, GPR_POOL};
+use crate::lir::{label_bound, vreg_bound, LirInsn, Vreg, VregClass, GPR_POOL};
 use hvm::{Gpr, Xmm};
-use std::collections::{HashMap, HashSet};
 
 /// Vector registers available to the allocator (the top three are reserved
 /// as spill scratch — `FpFma` can need reloads for all three of its
@@ -57,12 +62,20 @@ pub enum Assignment {
 /// The result of register allocation for one block.
 #[derive(Debug, Clone, Default)]
 pub struct Allocation {
-    /// Assignment per virtual register id.
-    pub assignment: HashMap<u32, Assignment>,
+    /// Assignment per virtual register, indexed by vreg id (`None` for ids
+    /// that only dead instructions touch).
+    pub assignment: Vec<Option<Assignment>>,
     /// `dead[i]` is true if LIR instruction `i` can be skipped by the encoder.
     pub dead: Vec<bool>,
     /// Number of spill slots used (GPR and XMM slots share the numbering).
     pub spill_slots: u32,
+}
+
+impl Allocation {
+    /// Where `v` lives, if the allocator assigned it anything.
+    pub fn get(&self, v: Vreg) -> Option<Assignment> {
+        self.assignment.get(v.id as usize).copied().flatten()
+    }
 }
 
 /// Live range of one virtual register (instruction indices, inclusive).
@@ -73,25 +86,61 @@ struct Range {
     end: usize,
 }
 
-/// The liveness state recorded at a label: virtual registers live at the
-/// label plus whether the host flags are demanded there.  Grows
-/// monotonically across fixpoint passes.
-#[derive(Debug, Clone, Default)]
-struct LabelState {
-    live: HashSet<u32>,
-    flags: bool,
+/// Sentinel for "no position" in the position tables below.
+const NONE: usize = usize::MAX;
+
+/// Per-label liveness states for the fixpoint: one live-vreg bitset row and
+/// one flag-demand bit per label id, zero (nothing live, no demand) until a
+/// backward pass reaches the label.  Rows grow monotonically across passes.
+struct LabelStates {
+    words: usize,
+    live: Vec<u64>,
+    flags: Vec<bool>,
+    /// Whether some jump to the label sits at or after a place the label is
+    /// bound: a backward pass reads that jump's state *before* recording
+    /// the label, so only these labels carry state from one pass into the
+    /// next.
+    read_before_recorded: Vec<bool>,
+}
+
+impl LabelStates {
+    fn row(&self, label: u32) -> &[u64] {
+        let at = label as usize * self.words;
+        &self.live[at..at + self.words]
+    }
 }
 
 /// Iterative dead-code marking: backward liveness over virtual registers and
 /// host flags, repeated to a fixpoint over the unit's labels.  See the
 /// module docs for the rules.
-fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
-    let mut label_state: HashMap<u32, LabelState> = HashMap::new();
+fn mark_dead(lir: &[LirInsn], vregs: usize, labels: usize) -> Vec<bool> {
+    let words = vregs.div_ceil(64);
+    let (mut first_bound, mut last_jump) = (vec![NONE; labels], vec![None; labels]);
+    for (i, insn) in lir.iter().enumerate() {
+        match insn {
+            LirInsn::Label { id } => first_bound[*id as usize] = first_bound[*id as usize].min(i),
+            LirInsn::Jmp { label }
+            | LirInsn::Jcc { label, .. }
+            | LirInsn::BackEdge { label, .. } => last_jump[*label as usize] = Some(i),
+            _ => {}
+        }
+    }
+    let mut states = LabelStates {
+        words,
+        live: vec![0; labels * words],
+        flags: vec![false; labels],
+        read_before_recorded: first_bound
+            .iter()
+            .zip(&last_jump)
+            .map(|(&bound, &jump)| jump.is_some_and(|j| bound <= j))
+            .collect(),
+    };
     let mut dead = vec![false; lir.len()];
-    let mut scratch = Vec::with_capacity(4);
+    let mut live = vec![0u64; words];
+    let contains = |set: &[u64], id: u32| set[id as usize / 64] & (1 << (id % 64)) != 0;
     loop {
         let mut changed = false;
-        let mut live: HashSet<u32> = HashSet::new();
+        live.fill(0);
         // Whether some later kept instruction reads the host flags before a
         // kept writer overwrites them.
         let mut flags_demanded = false;
@@ -103,9 +152,8 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
             match insn {
                 LirInsn::Jmp { label } => {
                     // The label is the sole successor.
-                    let s = label_state.get(label).cloned().unwrap_or_default();
-                    live = s.live;
-                    flags_demanded = s.flags;
+                    live.copy_from_slice(states.row(*label));
+                    flags_demanded = states.flags[*label as usize];
                 }
                 LirInsn::BackEdge {
                     label, reconcile, ..
@@ -115,27 +163,27 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
                     // promotion pass placed right after it), so that path is
                     // a second successor and its state — the carriers the
                     // compensation stores read — must stay live.
-                    let s = label_state.get(label).cloned().unwrap_or_default();
+                    let row = states.row(*label);
+                    let flags = states.flags[*label as usize];
                     if *reconcile {
-                        live.extend(s.live.iter().copied());
-                        flags_demanded |= s.flags;
+                        live.iter_mut().zip(row).for_each(|(l, r)| *l |= r);
+                        flags_demanded |= flags;
                     } else {
-                        live = s.live;
-                        flags_demanded = s.flags;
+                        live.copy_from_slice(row);
+                        flags_demanded = flags;
                     }
                 }
                 LirInsn::Jcc { label, .. } => {
                     // Successors: the fallthrough (current state) and the
                     // label.
-                    if let Some(s) = label_state.get(label) {
-                        live.extend(s.live.iter().copied());
-                        flags_demanded |= s.flags;
-                    }
+                    let row = states.row(*label);
+                    live.iter_mut().zip(row).for_each(|(l, r)| *l |= r);
+                    flags_demanded |= states.flags[*label as usize];
                 }
                 LirInsn::Ret => {
                     // Nothing in this unit executes after a return to the
                     // dispatcher; host flags are not guest state.
-                    live.clear();
+                    live.fill(0);
                     flags_demanded = false;
                 }
                 _ => {}
@@ -168,16 +216,12 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
                 // that a guest-memory *load* can fault, and the data abort is
                 // guest-visible even when the loaded value is dead.
                 _ => {
-                    let def_live = insn.def().is_some_and(|d| live.contains(&d.id));
+                    let def_live = insn.def().is_some_and(|d| contains(&live, d.id));
                     def_live || insn.may_fault() || (insn.writes_host_flags() && flags_demanded)
                 }
             };
             if needed {
-                scratch.clear();
-                insn.uses(&mut scratch);
-                for u in &scratch {
-                    live.insert(u.id);
-                }
+                insn.for_each_use(|u| live[u.id as usize / 64] |= 1 << (u.id % 64));
                 // Backward flag bookkeeping: a kept writer satisfies later
                 // demand; a kept reader creates demand for earlier writers.
                 if insn.writes_host_flags() {
@@ -189,19 +233,21 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
             }
             dead[i] = !needed;
             if let LirInsn::Label { id } = insn {
-                // Record the live-in of the label (grow-only merge); any
-                // growth means a jump somewhere may see a wider state and
-                // another pass is required.
-                let entry = label_state.entry(*id).or_default();
-                for v in &live {
-                    if entry.live.insert(*v) {
-                        changed = true;
-                    }
+                // Record the live-in of the label (grow-only merge).  Growth
+                // at a label some jump read earlier in this pass means that
+                // jump may see a wider state: another pass is required.
+                // Every other jump to it is reached after this point, so
+                // this pass already propagated the growth.
+                let at = *id as usize * words;
+                let mut grew = false;
+                for (entry, l) in states.live[at..at + words].iter_mut().zip(&live) {
+                    grew |= *l & !*entry != 0;
+                    *entry |= l;
                 }
-                if flags_demanded && !entry.flags {
-                    entry.flags = true;
-                    changed = true;
-                }
+                let entry = &mut states.flags[*id as usize];
+                grew |= flags_demanded && !*entry;
+                *entry |= flags_demanded;
+                changed |= grew && states.read_before_recorded[*id as usize];
             }
         }
         if !changed {
@@ -235,7 +281,7 @@ fn mark_dead(lir: &[LirInsn]) -> Vec<bool> {
 /// dead-code outcome: a fusion site where `out[jcc]` is `false` can
 /// clobber the flags freely, no matter what the allocator later sweeps.
 pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
-    let mut label_flags: HashMap<u32, bool> = HashMap::new();
+    let mut label_flags = vec![false; label_bound(lir)];
     let mut out = vec![false; lir.len()];
     loop {
         let mut changed = false;
@@ -243,12 +289,12 @@ pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
         for (i, insn) in lir.iter().enumerate().rev() {
             match insn {
                 LirInsn::Jmp { label } => {
-                    flags = label_flags.get(label).copied().unwrap_or(false);
+                    flags = label_flags[*label as usize];
                 }
                 LirInsn::BackEdge {
                     label, reconcile, ..
                 } => {
-                    let s = label_flags.get(label).copied().unwrap_or(false);
+                    let s = label_flags[*label as usize];
                     if *reconcile {
                         flags |= s;
                     } else {
@@ -256,7 +302,7 @@ pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
                     }
                 }
                 LirInsn::Jcc { label, .. } => {
-                    flags |= label_flags.get(label).copied().unwrap_or(false);
+                    flags |= label_flags[*label as usize];
                 }
                 LirInsn::Ret => flags = false,
                 _ => {}
@@ -269,7 +315,7 @@ pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
                 flags = true;
             }
             if let LirInsn::Label { id } = insn {
-                let e = label_flags.entry(*id).or_default();
+                let e = &mut label_flags[*id as usize];
                 if flags && !*e {
                     *e = true;
                     changed = true;
@@ -288,14 +334,9 @@ pub fn host_flags_live_after(lir: &[LirInsn]) -> Vec<bool> {
 /// for the fixpoint pass (its kill set must be a subset of the fixpoint's).
 #[cfg(debug_assertions)]
 fn mark_dead_one_shot(lir: &[LirInsn]) -> Vec<bool> {
-    let mut use_count: HashMap<u32, u32> = HashMap::new();
-    let mut scratch = Vec::with_capacity(4);
+    let mut use_count = vec![0u32; vreg_bound(lir)];
     for insn in lir {
-        scratch.clear();
-        insn.uses(&mut scratch);
-        for v in &scratch {
-            *use_count.entry(v.id).or_default() += 1;
-        }
+        insn.for_each_use(|v| use_count[v.id as usize] += 1);
     }
     let mut dead = vec![false; lir.len()];
     for (i, insn) in lir.iter().enumerate() {
@@ -303,7 +344,7 @@ fn mark_dead_one_shot(lir: &[LirInsn]) -> Vec<bool> {
             continue;
         }
         if let Some(d) = insn.def() {
-            if use_count.get(&d.id).copied().unwrap_or(0) == 0 {
+            if use_count[d.id as usize] == 0 {
                 dead[i] = true;
             }
         }
@@ -313,32 +354,30 @@ fn mark_dead_one_shot(lir: &[LirInsn]) -> Vec<bool> {
 
 /// Runs liveness analysis, dead-code marking and linear-scan assignment.
 pub fn allocate(lir: &[LirInsn]) -> Allocation {
-    let dead = mark_dead(lir);
+    let (vregs, labels) = (vreg_bound(lir), label_bound(lir));
+    let dead = mark_dead(lir, vregs, labels);
 
     // Forward pass over the *surviving* instructions: first and last
-    // occurrence of every vreg.  Occurrence maps note both uses and defs at
-    // the same index; a def-after-use instruction (the two-address forms,
+    // occurrence of every vreg.  Occurrence tables note both uses and defs
+    // at the same index; a def-after-use instruction (the two-address forms,
     // where `dst` is read and written by one instruction) therefore keeps
     // every operand live *through* that index, and the linear scan below
     // only reuses a register for a range starting strictly after another
     // ends (`end < start`, not `end <= start`) — so the operands of a
     // def-after-use instruction can never share a register.
-    let mut first: HashMap<u32, (Vreg, usize)> = HashMap::new();
-    let mut last: HashMap<u32, usize> = HashMap::new();
-    let mut scratch = Vec::with_capacity(4);
+    let mut first: Vec<Option<(Vreg, usize)>> = vec![None; vregs];
+    let mut last: Vec<usize> = vec![NONE; vregs];
     for (i, insn) in lir.iter().enumerate() {
         if dead[i] {
             continue;
         }
-        scratch.clear();
-        insn.uses(&mut scratch);
-        for v in &scratch {
-            first.entry(v.id).or_insert((*v, i));
-            last.insert(v.id, i);
-        }
+        let mut occurs = |v: Vreg| {
+            first[v.id as usize].get_or_insert((v, i));
+            last[v.id as usize] = i;
+        };
+        insn.for_each_use(&mut occurs);
         if let Some(d) = insn.def() {
-            first.entry(d.id).or_insert((d, i));
-            last.insert(d.id, i);
+            occurs(d);
         }
     }
 
@@ -347,13 +386,10 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
     // so its range must cover the whole loop — otherwise the linear scan
     // could hand its register to a loop-local value whose (linear) range
     // looks disjoint, clobbering the loop-carried value between iterations.
-    let mut label_pos: HashMap<u32, usize> = HashMap::new();
+    let mut label_pos = vec![NONE; labels];
     for (i, insn) in lir.iter().enumerate() {
-        if dead[i] {
-            continue;
-        }
-        if let LirInsn::Label { id } = insn {
-            label_pos.insert(*id, i);
+        if let (false, LirInsn::Label { id }) = (dead[i], insn) {
+            label_pos[*id as usize] = i;
         }
     }
     let mut back_jumps: Vec<(usize, usize)> = Vec::new(); // (header pos, jump pos)
@@ -366,24 +402,23 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
             LirInsn::BackEdge { label, .. } => *label,
             _ => continue,
         };
-        if let Some(&p) = label_pos.get(&label) {
-            if p <= j {
-                back_jumps.push((p, j));
-            }
+        let p = label_pos[label as usize];
+        if p <= j {
+            back_jumps.push((p, j));
         }
     }
-    // Extension can cascade through nested loops; iterate until stable.
-    let mut extended = true;
-    while extended {
-        extended = false;
-        for &(p, j) in &back_jumps {
-            for (id, &(_, start)) in &first {
-                if start < p {
-                    if let Some(end) = last.get_mut(id) {
-                        if *end >= p && *end < j {
-                            *end = j;
-                            extended = true;
-                        }
+    // Extension can cascade through nested loops; iterate each range until
+    // stable (ranges extend independently of one another).
+    if !back_jumps.is_empty() {
+        for (f, end) in first.iter().zip(last.iter_mut()) {
+            let Some((_, start)) = *f else { continue };
+            let mut extended = true;
+            while extended {
+                extended = false;
+                for &(p, j) in &back_jumps {
+                    if start < p && *end >= p && *end < j {
+                        *end = j;
+                        extended = true;
                     }
                 }
             }
@@ -391,61 +426,72 @@ pub fn allocate(lir: &[LirInsn]) -> Allocation {
     }
 
     // Build live ranges (vregs touched only by dead instructions have no
-    // occurrences and get no range).
+    // occurrences and get no range), in (start, id) order.
     let mut ranges: Vec<Range> = first
         .iter()
-        .map(|(&id, &(vreg, start))| Range {
-            vreg,
-            start,
-            end: last[&id],
-        })
+        .zip(&last)
+        .filter_map(|(f, &end)| f.map(|(vreg, start)| Range { vreg, start, end }))
         .collect();
-    ranges.sort_by_key(|r| (r.start, r.vreg.id));
+    ranges.sort_unstable_by_key(|r| (r.start, r.vreg.id));
 
     // Linear scan, one pool per register class.
-    let mut assignment = HashMap::new();
+    let mut assignment = vec![None; vregs];
     let mut active_gpr: Vec<(usize, Gpr)> = Vec::new(); // (end, reg)
     let mut active_xmm: Vec<(usize, Xmm)> = Vec::new();
     let mut free_gpr: Vec<Gpr> = GPR_POOL.to_vec();
     let mut free_xmm: Vec<Xmm> = XMM_POOL.iter().rev().map(|&i| Xmm(i)).collect();
     let mut spill_slots = 0u32;
+    // Earliest end among the active ranges: expiry only has work to do once
+    // a range starts past it.
+    let mut min_end = NONE;
 
     for r in &ranges {
         // Expire ranges that ended strictly before this one starts (a range
         // ending *at* this index may be a same-instruction operand of a
         // def-after-use form and must keep its register).
-        active_gpr.retain(|&(end, reg)| {
-            if end < r.start {
-                free_gpr.push(reg);
-                false
-            } else {
-                true
-            }
-        });
-        active_xmm.retain(|&(end, reg)| {
-            if end < r.start {
-                free_xmm.push(reg);
-                false
-            } else {
-                true
-            }
-        });
+        if min_end < r.start {
+            active_gpr.retain(|&(end, reg)| {
+                if end < r.start {
+                    free_gpr.push(reg);
+                    false
+                } else {
+                    true
+                }
+            });
+            active_xmm.retain(|&(end, reg)| {
+                if end < r.start {
+                    free_xmm.push(reg);
+                    false
+                } else {
+                    true
+                }
+            });
+            min_end = active_gpr
+                .iter()
+                .map(|a| a.0)
+                .chain(active_xmm.iter().map(|a| a.0))
+                .min()
+                .unwrap_or(NONE);
+        }
+        let slot = &mut assignment[r.vreg.id as usize];
         match r.vreg.class {
             VregClass::Gpr => {
                 if let Some(reg) = free_gpr.pop() {
-                    assignment.insert(r.vreg.id, Assignment::Gpr(reg));
+                    *slot = Some(Assignment::Gpr(reg));
                     active_gpr.push((r.end, reg));
+                    min_end = min_end.min(r.end);
                 } else {
-                    assignment.insert(r.vreg.id, Assignment::Spill(spill_slots));
+                    *slot = Some(Assignment::Spill(spill_slots));
                     spill_slots += 1;
                 }
             }
             VregClass::Xmm => {
                 if let Some(reg) = free_xmm.pop() {
-                    assignment.insert(r.vreg.id, Assignment::Xmm(reg));
+                    *slot = Some(Assignment::Xmm(reg));
                     active_xmm.push((r.end, reg));
+                    min_end = min_end.min(r.end);
                 } else {
-                    assignment.insert(r.vreg.id, Assignment::Spill(spill_slots));
+                    *slot = Some(Assignment::Spill(spill_slots));
                     spill_slots += 1;
                 }
             }
@@ -546,7 +592,7 @@ mod tests {
         let alloc = allocate(&lir);
         assert_eq!(alloc.spill_slots, 0);
         for id in 0..3 {
-            assert!(matches!(alloc.assignment[&id], Assignment::Gpr(_)));
+            assert!(matches!(alloc.get(v(id)), Some(Assignment::Gpr(_))));
         }
         assert!(alloc.dead.iter().all(|d| !d));
     }
@@ -590,7 +636,7 @@ mod tests {
         let alloc = allocate(&lir);
         assert_eq!(alloc.dead, vec![true, true, true, false]);
         assert!(
-            alloc.assignment.is_empty(),
+            alloc.assignment.iter().all(Option::is_none),
             "dead chains claim no registers"
         );
     }
@@ -711,8 +757,8 @@ mod tests {
             vec![false, true, true, false, false, false, false],
             "DCE fires inside looping units and sweeps whole chains"
         );
-        assert!(!alloc.assignment.contains_key(&0));
-        assert!(!alloc.assignment.contains_key(&1));
+        assert!(alloc.get(v(0)).is_none());
+        assert!(alloc.get(v(1)).is_none());
     }
 
     #[test]
@@ -814,10 +860,11 @@ mod tests {
         });
         lir.push(LirInsn::Ret);
         let alloc = allocate(&lir);
-        let a0 = alloc.assignment[&0];
+        let a0 = alloc.get(v(0));
         for i in 1..=n {
             assert_ne!(
-                alloc.assignment[&i], a0,
+                alloc.get(v(i)),
+                a0,
                 "loop-local v{i} must not reuse the loop-carried register"
             );
         }
@@ -856,10 +903,11 @@ mod tests {
         lir.push(LirInsn::Ret);
         let alloc = allocate(&lir);
         assert_ne!(
-            alloc.assignment[&n], alloc.assignment[&0],
+            alloc.get(v(n)),
+            alloc.get(v(0)),
             "a def at its source's last index must not steal the register"
         );
-        assert!(matches!(alloc.assignment[&n], Assignment::Spill(_)));
+        assert!(matches!(alloc.get(v(n)), Some(Assignment::Spill(_))));
     }
 
     #[test]
@@ -905,7 +953,8 @@ mod tests {
         assert!(alloc.spill_slots >= 4);
         let spilled = alloc
             .assignment
-            .values()
+            .iter()
+            .flatten()
             .filter(|a| matches!(a, Assignment::Spill(_)))
             .count();
         assert_eq!(spilled as u32, alloc.spill_slots);
@@ -941,7 +990,7 @@ mod tests {
         assert_eq!(alloc.spill_slots, 0, "dead ranges must not cause spills");
         for i in 0..n {
             assert!(alloc.dead[i as usize]);
-            assert!(!alloc.assignment.contains_key(&i));
+            assert!(alloc.get(v(i)).is_none());
         }
     }
 
@@ -965,6 +1014,281 @@ mod tests {
             LirInsn::Ret,
         ];
         let alloc = allocate(&lir);
-        assert!(matches!(alloc.assignment[&0], Assignment::Xmm(_)));
+        assert!(matches!(alloc.get(xv(0)), Some(Assignment::Xmm(_))));
+    }
+
+    /// Builds an emitter-shaped looping unit from random choices: a
+    /// preheader defining `globals` values (read anywhere, redefined in
+    /// place inside the loop, so some are loop-carried), a loop body of
+    /// straight-line segments separated by labels that forward `Jcc`/`Jmp`s
+    /// target (segment-local values are only read before the next label,
+    /// as the emitter's are), side exits to stubs after the back-edge, and a
+    /// `BackEdge` to the header.  Every use is dominated by a definition.
+    fn random_loop_unit(globals: u32, reconcile: bool, ops: &[(u8, u8, u8)]) -> Vec<LirInsn> {
+        let xv = |id| Vreg {
+            id,
+            class: VregClass::Xmm,
+        };
+        let mut lir = Vec::new();
+        for g in 0..globals {
+            lir.push(LirInsn::Load {
+                dst: v(g),
+                addr: LirMem::regfile(8 * g as i32),
+                size: MemSize::U64,
+            });
+        }
+        lir.push(LirInsn::Label { id: 0 });
+        let mut next_vreg = globals;
+        let mut next_label = 1u32;
+        let mut locals: Vec<u32> = Vec::new();
+        let mut pending: Vec<u32> = Vec::new(); // forward labels not yet bound
+        let mut stubs: Vec<u32> = Vec::new();
+        for &(kind, a, b) in ops {
+            // Operand choices: any global, or a live segment-local.
+            let pick = |k: u8, locals: &[u32]| -> u32 {
+                let n = globals as usize + locals.len();
+                let k = k as usize % n;
+                if k < globals as usize {
+                    k as u32
+                } else {
+                    locals[k - globals as usize]
+                }
+            };
+            let (x, y) = (pick(a, &locals), pick(b, &locals));
+            match kind {
+                0 => {
+                    lir.push(LirInsn::MovImm {
+                        dst: v(next_vreg),
+                        imm: b as u64,
+                    });
+                    locals.push(next_vreg);
+                    next_vreg += 1;
+                }
+                1 => {
+                    lir.push(LirInsn::MovReg {
+                        dst: v(next_vreg),
+                        src: v(x),
+                    });
+                    locals.push(next_vreg);
+                    next_vreg += 1;
+                }
+                2 | 3 => lir.push(LirInsn::Alu {
+                    op: if kind == 2 { AluOp::Add } else { AluOp::Xor },
+                    dst: v(x),
+                    src: LirOperand::Vreg(v(y)),
+                }),
+                4 => lir.push(LirInsn::Store {
+                    src: v(x),
+                    addr: LirMem::regfile(8 * (b % 16) as i32),
+                    size: MemSize::U64,
+                }),
+                5 => lir.push(LirInsn::Cmp {
+                    a: v(x),
+                    b: LirOperand::Vreg(v(y)),
+                }),
+                6 => {
+                    lir.push(LirInsn::SetCc {
+                        cond: Cond::Eq,
+                        dst: v(next_vreg),
+                    });
+                    locals.push(next_vreg);
+                    next_vreg += 1;
+                }
+                7 | 8 => {
+                    // Forward branch to a label bound later in the body; the
+                    // `Jmp` form is the emitter's if/else shape, whose else
+                    // arm starts at a label the `Jcc` targets (so no code is
+                    // unreachable).
+                    lir.push(LirInsn::Test {
+                        a: v(x),
+                        b: LirOperand::Vreg(v(x)),
+                    });
+                    lir.push(LirInsn::Jcc {
+                        cond: Cond::Ne,
+                        label: next_label,
+                    });
+                    if kind == 8 {
+                        lir.push(LirInsn::Jmp {
+                            label: next_label + 1,
+                        });
+                        lir.push(LirInsn::Label { id: next_label });
+                        locals.clear();
+                        next_label += 1;
+                    }
+                    pending.push(next_label);
+                    next_label += 1;
+                }
+                9 => {
+                    // Join: bind the oldest pending label; locals die.
+                    if !pending.is_empty() {
+                        lir.push(LirInsn::Label {
+                            id: pending.remove(0),
+                        });
+                        locals.clear();
+                    }
+                }
+                10 => {
+                    // Side exit to a stub after the back-edge.
+                    lir.push(LirInsn::SetPcImm { imm: 0x2000 });
+                    lir.push(LirInsn::Jcc {
+                        cond: Cond::Eq,
+                        label: next_label,
+                    });
+                    stubs.push(next_label);
+                    next_label += 1;
+                }
+                _ => {
+                    // A vector round-trip, so both register classes compete.
+                    lir.push(LirInsn::LoadXmm {
+                        dst: xv(next_vreg),
+                        addr: LirMem::regfile(0x200 + 16 * (b % 4) as i32),
+                        size: MemSize::U128,
+                    });
+                    lir.push(LirInsn::StoreXmm {
+                        src: xv(next_vreg),
+                        addr: LirMem::regfile(0x240 + 16 * (a % 4) as i32),
+                        size: MemSize::U128,
+                    });
+                    next_vreg += 1;
+                }
+            }
+        }
+        for label in pending {
+            lir.push(LirInsn::Label { id: label });
+        }
+        lir.push(LirInsn::BackEdge {
+            pc: 0x1000,
+            label: 0,
+            reconcile,
+            weight: 1,
+        });
+        if reconcile {
+            lir.push(LirInsn::Store {
+                src: v(0),
+                addr: LirMem::regfile(0),
+                size: MemSize::U64,
+            });
+        }
+        lir.push(LirInsn::Ret);
+        for stub in stubs {
+            lir.push(LirInsn::Label { id: stub });
+            lir.push(LirInsn::Store {
+                src: v(globals - 1),
+                addr: LirMem::regfile(8),
+                size: MemSize::U64,
+            });
+            lir.push(LirInsn::Ret);
+        }
+        lir
+    }
+
+    /// Exact liveness over the surviving instructions of `lir` (control
+    /// flow through labels, jumps and the back-edge): `live_out[i]`.
+    fn live_out(lir: &[LirInsn], dead: &[bool]) -> Vec<Vec<u32>> {
+        let label_at = |l: u32| {
+            lir.iter()
+                .position(|i| matches!(i, LirInsn::Label { id } if *id == l))
+                .expect("bound label")
+        };
+        let succs: Vec<Vec<usize>> = lir
+            .iter()
+            .enumerate()
+            .map(|(i, insn)| match insn {
+                LirInsn::Jmp { label } => vec![label_at(*label)],
+                LirInsn::Jcc { label, .. } => vec![i + 1, label_at(*label)],
+                LirInsn::BackEdge {
+                    label, reconcile, ..
+                } => {
+                    let mut s = vec![label_at(*label)];
+                    if *reconcile {
+                        s.push(i + 1);
+                    }
+                    s
+                }
+                LirInsn::Ret => vec![],
+                _ => vec![i + 1],
+            })
+            .collect();
+        let n = lir.len();
+        let mut live_in = vec![std::collections::BTreeSet::new(); n];
+        let mut out = vec![std::collections::BTreeSet::new(); n];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for i in (0..n).rev() {
+                let o: std::collections::BTreeSet<u32> = succs[i]
+                    .iter()
+                    .flat_map(|&s| live_in[s].iter().copied())
+                    .collect();
+                let mut inn = o.clone();
+                if !dead[i] {
+                    if let Some(d) = lir[i].def() {
+                        inn.remove(&d.id);
+                    }
+                    let mut uses = Vec::new();
+                    lir[i].uses(&mut uses);
+                    inn.extend(uses.iter().map(|u| u.id));
+                }
+                if inn != live_in[i] || o != out[i] {
+                    changed = true;
+                    live_in[i] = inn;
+                    out[i] = o;
+                }
+            }
+        }
+        out.into_iter().map(|s| s.into_iter().collect()).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn random_looping_units_allocate_soundly(
+            globals in 2u32..12,
+            reconcile in 0u8..2,
+            ops in proptest::collection::vec((0u8..12, 0u8..16, 0u8..16), 4..60),
+        ) {
+            let lir = random_loop_unit(globals, reconcile == 1, &ops);
+            let alloc = allocate(&lir);
+            let out = live_out(&lir, &alloc.dead);
+            let mut scratch = Vec::new();
+            for (i, insn) in lir.iter().enumerate() {
+                if alloc.dead[i] {
+                    continue;
+                }
+                // Every register a surviving instruction touches is
+                // assigned somewhere.
+                scratch.clear();
+                insn.uses(&mut scratch);
+                scratch.extend(insn.def());
+                for r in &scratch {
+                    proptest::prop_assert!(
+                        alloc.get(*r).is_some(),
+                        "v{} at {i} ({insn:?}) has no assignment", r.id
+                    );
+                }
+                // Everything live across, read or written by this
+                // instruction holds a distinct host register.
+                let mut here: Vec<u32> = scratch.iter().map(|r| r.id).collect();
+                here.extend(&out[i]);
+                here.sort_unstable();
+                here.dedup();
+                let mut regs: Vec<(Assignment, u32)> = here
+                    .iter()
+                    .filter_map(|&id| {
+                        alloc.assignment[id as usize].map(|a| (a, id))
+                    })
+                    .filter(|(a, _)| !matches!(a, Assignment::Spill(_)))
+                    .collect();
+                regs.sort_by_key(|&(a, id)| (format!("{a:?}"), id));
+                for pair in regs.windows(2) {
+                    proptest::prop_assert!(
+                        pair[0].0 != pair[1].0,
+                        "v{} and v{} share {:?} at {i} ({insn:?})",
+                        pair[0].1, pair[1].1, pair[0].0
+                    );
+                }
+            }
+        }
     }
 }
