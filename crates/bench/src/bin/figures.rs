@@ -1,13 +1,13 @@
 //! Regenerates the paper's tables and figures on the simulated substrate.
 //!
-//! Usage: `cargo run --release -p bench --bin figures -- [all|fig17|fig18|fig19|fig20|jitstats|fig21|fig22|table2|fp_modes|chaining|regions|unroll|loops|promote|scale|opt|idioms|storm|tiers|io]`
+//! Usage: `cargo run --release -p bench --bin figures -- [all|fig17|fig18|fig19|fig20|jitstats|fig21|fig22|table2|fp_modes|chaining|regions|loops|promote|scale|opt|idioms|storm|tiers|io]`
 //!
-//! The `chaining`, `regions`, `unroll`, `promote`, `scale`, `opt`, `idioms`
+//! The `chaining`, `regions`, `loops`, `promote`, `scale`, `opt`, `idioms`
 //! and `storm` sections double as CI smoke checks: they assert the counter
 //! invariants the dispatcher and optimiser guarantee (chained gaps accounted
 //! exactly, regions no slower than chaining with strictly fewer interpreter
-//! entries, self-loop unrolling forming regions on the pointer-chase kernels
-//! at no cycle cost, cycles growing monotonically with workload scale,
+//! entries, looping regions forming and tripping on the loop kernels at no
+//! cycle cost over chaining, cycles growing monotonically with workload scale,
 //! optimised translations no slower than unoptimised with nonzero
 //! elimination counters on flag-heavy workloads, every shipped idiom rule
 //! firing somewhere on the idiom kernels at a cycle win, and — under an
@@ -17,8 +17,8 @@
 use bench::{
     geomean, native_model, run_both_raw, run_captive, run_captive_chaining, run_captive_idioms,
     run_captive_idioms_mined, run_captive_loops, run_captive_opt, run_captive_promote,
-    run_captive_regions, run_captive_unroll, run_captive_with, run_qemu, run_qemu_chaining,
-    run_qemu_goto_tb, Measurement,
+    run_captive_regions, run_captive_with, run_qemu, run_qemu_chaining, run_qemu_goto_tb,
+    Measurement,
 };
 use captive::FpMode;
 use workloads::Scale;
@@ -55,9 +55,6 @@ fn main() {
     }
     if all || arg == "regions" || arg == "superblocks" {
         regions();
-    }
-    if all || arg == "unroll" {
-        unroll();
     }
     if all || arg == "loops" {
         loops();
@@ -497,78 +494,12 @@ fn regions() {
     println!();
 }
 
-fn unroll() {
-    println!("== Self-loop unrolling: peeled regions on pointer-chase kernels ==");
-    println!(
-        "{:<18} {:>14} {:>14} {:>9} {:>9} {:>9} {:>10} {:>10}",
-        "workload",
-        "cycles (x4)",
-        "cycles (off)",
-        "speedup",
-        "formed",
-        "unrolled",
-        "sb-xfers",
-        "entries"
-    );
-    // The pointer-chase kernels are single-block self-loops: without
-    // unrolling their traces close at one constituent and no region forms.
-    let chasers: Vec<_> = workloads::spec_int(Scale(1))
-        .into_iter()
-        .filter(|w| matches!(w.name, "429.mcf" | "473.astar"))
-        .collect();
-    for w in &chasers {
-        let on = run_captive_unroll(w, 4);
-        let off = run_captive_unroll(w, 1);
-        // CI smoke invariants: the chase loop must actually unroll, and
-        // peeling must never cost modeled cycles.
-        assert!(
-            on.regions_unrolled >= 1,
-            "{}: the self-loop must form an unrolled region",
-            w.name
-        );
-        assert!(
-            on.cycles <= off.cycles,
-            "{}: unrolling regressed cycles ({} > {})",
-            w.name,
-            on.cycles,
-            off.cycles
-        );
-        assert!(
-            on.blocks < off.blocks,
-            "{}: peeled iterations must cut interpreter entries ({} vs {})",
-            w.name,
-            on.blocks,
-            off.blocks
-        );
-        println!(
-            "{:<18} {:>14} {:>14} {:>8.3}x {:>9} {:>9} {:>10} {:>10}",
-            w.name,
-            on.cycles,
-            off.cycles,
-            off.cycles as f64 / on.cycles as f64,
-            on.regions_formed,
-            on.regions_unrolled,
-            on.region_transfers,
-            on.blocks
-        );
-    }
-    println!();
-}
-
 fn loops() {
     println!("== Looping regions: region-internal back-edges on loop-heavy kernels ==");
-    println!("   (off = regions without back-edge closing; chain = chaining alone)");
+    println!("   (chain = chaining alone, no regions)");
     println!(
-        "{:<18} {:>13} {:>13} {:>13} {:>8} {:>8} {:>10} {:>9} {:>9}",
-        "workload",
-        "cycles (on)",
-        "cycles (off)",
-        "chain-only",
-        "vs off",
-        "vs chain",
-        "backedges",
-        "entries",
-        "(off)"
+        "{:<18} {:>13} {:>13} {:>8} {:>10} {:>9} {:>9}",
+        "workload", "cycles (on)", "chain-only", "vs chain", "backedges", "entries", "(chain)"
     );
     let mut ws = workloads::loop_kernels(Scale(1));
     // The dispatch-bound multi-block loop: the shape whose per-iteration
@@ -578,13 +509,12 @@ fn loops() {
     ws.push(micro);
     let mut micro_gain = 0.0f64;
     for w in &ws {
-        let on = run_captive_loops(w, true);
-        let off = run_captive_loops(w, false);
+        let on = run_captive_loops(w);
         let chain = run_captive_chaining(w, true);
         // CI smoke invariants: every loop-heavy kernel must close at least
         // one back-edge region, trip it internally, and never cost modeled
-        // cycles over loop-regions-off; wherever the loop closes fully the
-        // dispatcher entries per trip collapse.
+        // cycles over chaining alone; the dispatcher entries per trip
+        // collapse.
         assert!(
             on.loop_regions_formed >= 1,
             "{}: no back-edge region formed",
@@ -596,47 +526,44 @@ fn loops() {
             w.name
         );
         assert!(
-            on.cycles <= off.cycles,
+            on.cycles <= chain.cycles,
             "{}: looping regions regressed cycles ({} > {})",
             w.name,
             on.cycles,
-            off.cycles
+            chain.cycles
         );
         assert!(
-            on.blocks < off.blocks,
+            on.blocks < chain.blocks,
             "{}: dispatcher entries per trip must drop ({} vs {})",
             w.name,
             on.blocks,
-            off.blocks
+            chain.blocks
         );
-        let vs_off = off.cycles as f64 / on.cycles as f64;
         let vs_chain = chain.cycles as f64 / on.cycles as f64;
         if w.name == micro_name {
-            micro_gain = vs_off;
+            micro_gain = vs_chain;
         }
         println!(
-            "{:<18} {:>13} {:>13} {:>13} {:>7.3}x {:>7.3}x {:>10} {:>9} {:>9}",
+            "{:<18} {:>13} {:>13} {:>7.3}x {:>10} {:>9} {:>9}",
             w.name,
             on.cycles,
-            off.cycles,
             chain.cycles,
-            vs_off,
             vs_chain,
             on.backedge_transfers,
             on.blocks,
-            off.blocks
+            chain.blocks
         );
     }
     println!();
     // The acceptance bar: on the dispatch-bound multi-block loop workload,
-    // looping regions must pay for themselves by a wide margin.  (This
-    // section pins `promote: false` so the on/off delta isolates the
-    // back-edge machinery; the `promote` section below measures what
-    // loop-carried register promotion adds on top.)
+    // looping regions must pay for themselves by a wide margin over
+    // chaining alone.  (This section pins `promote: false` so the delta
+    // isolates the back-edge machinery; the `promote` section below
+    // measures what loop-carried register promotion adds on top.)
     assert!(
         micro_gain >= 1.15,
         "the multi-block-loop workload must run >= 1.15x fewer modeled \
-         cycles with looping regions on vs off (got {micro_gain:.3}x)"
+         cycles with looping regions than with chaining alone (got {micro_gain:.3}x)"
     );
 }
 
@@ -849,8 +776,7 @@ fn json() {
         push(w.name, "qemu", &run_qemu(&w));
     }
     for w in workloads::loop_kernels(Scale(1)) {
-        push(w.name, "captive-loops-on", &run_captive_loops(&w, true));
-        push(w.name, "captive-loops-off", &run_captive_loops(&w, false));
+        push(w.name, "captive-loops-on", &run_captive_loops(&w));
         push(w.name, "captive-promote", &run_captive_promote(&w, true));
         push(w.name, "qemu+goto_tb", &run_qemu_goto_tb(&w));
         // The tier trajectory: cold run publishes+installs asynchronously,
@@ -1319,7 +1245,7 @@ fn tiers() {
     }
     // The acceptance bar: once the reuse cache is warm the run thread never
     // re-forms a region, so its translation wall-clock must land strictly
-    // below the synchronous former's across the loop-kernel suite.
+    // below the `tiered: false` engine's across the loop-kernel suite.
     assert!(async_installs >= 1, "no asynchronous install in the sweep");
     assert!(
         warm_wall < sync_wall,

@@ -504,13 +504,6 @@ pub fn chaos_captive_configs() -> Vec<(&'static str, CaptiveConfig)> {
             },
         ),
         (
-            "captive-noloops",
-            CaptiveConfig {
-                loop_regions: false,
-                ..CaptiveConfig::default()
-            },
-        ),
-        (
             "captive-nopromote",
             CaptiveConfig {
                 promote: false,

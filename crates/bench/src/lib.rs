@@ -119,7 +119,7 @@ pub struct Measurement {
     /// only).
     pub reuse_misses: u64,
     /// JIT wall-clock the run thread actually stalled on, in nanoseconds
-    /// (tier-0 translation + snapshot capture + result waits + synchronous
+    /// (tier-0 translation + snapshot capture + result waits + inline
     /// formation).  Wall time, NOT modeled cycles.
     pub jit_wall_ns: u64,
     /// Wall-clock spent inside tier-1 workers, in nanoseconds (runs hidden
@@ -154,6 +154,31 @@ impl Measurement {
             .find(|(k, _)| k == key)
             .map_or(0, |(_, v)| *v)
     }
+}
+
+/// The `virtio.*` string-keyed counters of a run, read from the same-named
+/// fields of Captive's [`captive::RunStats`] or the baseline's
+/// [`qemu_ref::RunStats`]; empty when the run never touched the device.
+macro_rules! virtio_counters {
+    ($s:expr) => {{
+        let s = &$s;
+        let mut out: Vec<(String, u64)> = Vec::new();
+        if s.virtio_kicks > 0 || s.external_invalidations > 0 {
+            for (name, n) in [
+                ("kicks", s.virtio_kicks),
+                ("submissions", s.virtio_submissions),
+                ("completions", s.virtio_completions),
+                ("irqs", s.virtio_irqs),
+                ("fault_injections", s.virtio_fault_injections),
+                ("dma_bytes", s.virtio_dma_bytes),
+                ("io_errors", s.virtio_io_errors),
+                ("external_invalidations", s.external_invalidations),
+            ] {
+                out.push((format!("virtio.{name}"), n));
+            }
+        }
+        out
+    }};
 }
 
 /// Runs a workload under Captive (hardware FP, chaining on).
@@ -220,65 +245,45 @@ pub fn run_captive_tiered_reuse(
     )
 }
 
+/// The base configuration of the single-knob ablation entry points below:
+/// the default engine in pump mode (`tier_workers: 0`), so each ablation
+/// measures the default formation schedule — requests published at half
+/// the threshold, collected at the threshold — single-threaded and
+/// deterministic.
+fn ablation_base() -> CaptiveConfig {
+    CaptiveConfig {
+        tier_workers: 0,
+        ..CaptiveConfig::default()
+    }
+}
+
 /// Runs a workload under Captive with the LIR optimiser forced on or off
-/// (everything else default: chaining and superblocks on).  The tiered
-/// service is pinned off here and in the other single-knob ablation helpers:
-/// it cannot change modeled cycles, and the ablations want single-threaded
-/// wall-clock accounting.
+/// (everything else default: chaining and regions on).
 pub fn run_captive_opt(w: &Workload, opt: bool) -> Measurement {
     run_captive_cfg(
         w,
         CaptiveConfig {
             opt,
-            tiered: false,
-            ..CaptiveConfig::default()
+            ..ablation_base()
         },
     )
 }
 
 /// Runs a workload under Captive with chaining plus region formation.
 pub fn run_captive_regions(w: &Workload) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            chaining: true,
-            form_regions: true,
-            tiered: false,
-            ..CaptiveConfig::default()
-        },
-    )
+    run_captive_cfg(w, ablation_base())
 }
 
-/// Runs a workload under Captive with loop-body unrolling set explicitly
-/// and back-edge closing pinned OFF (1 disables peeling; chaining + regions
-/// stay on).  This measures the legacy peel machinery alone; the looping
-/// comparison lives in [`run_captive_loops`].
-pub fn run_captive_unroll(w: &Workload, unroll: usize) -> Measurement {
+/// Runs a workload under Captive with looping regions (chaining, region
+/// formation and unrolling on) and loop promotion pinned OFF, so this entry
+/// point isolates the back-edge-closing machinery; the promotion comparison
+/// lives in [`run_captive_promote`].
+pub fn run_captive_loops(w: &Workload) -> Measurement {
     run_captive_cfg(
         w,
         CaptiveConfig {
-            unroll_loops: unroll,
-            loop_regions: false,
-            tiered: false,
-            ..CaptiveConfig::default()
-        },
-    )
-}
-
-/// Runs a workload under Captive with looping regions (back-edge closing)
-/// forced on or off; everything else default (chaining, region formation
-/// and unrolling on).  Loop promotion is pinned OFF so this entry point
-/// isolates the back-edge-closing machinery — the figures legs built on it
-/// assert exact pre-promotion cycle counts; the promotion comparison lives
-/// in [`run_captive_promote`].
-pub fn run_captive_loops(w: &Workload, loop_regions: bool) -> Measurement {
-    run_captive_cfg(
-        w,
-        CaptiveConfig {
-            loop_regions,
             promote: false,
-            tiered: false,
-            ..CaptiveConfig::default()
+            ..ablation_base()
         },
     )
 }
@@ -291,22 +296,19 @@ pub fn run_captive_promote(w: &Workload, promote: bool) -> Measurement {
         w,
         CaptiveConfig {
             promote,
-            tiered: false,
-            ..CaptiveConfig::default()
+            ..ablation_base()
         },
     )
 }
 
 /// Runs a workload under Captive with the guest-idiom layer forced on or
-/// off (tiered pinned off for single-threaded accounting; everything else
-/// default) — the `figures -- idioms` comparison pair.
+/// off (everything else default) — the `figures -- idioms` comparison pair.
 pub fn run_captive_idioms(w: &Workload, idioms: bool) -> Measurement {
     run_captive_cfg(
         w,
         CaptiveConfig {
             idioms,
-            tiered: false,
-            ..CaptiveConfig::default()
+            ..ablation_base()
         },
     )
 }
@@ -316,15 +318,11 @@ pub fn run_captive_idioms(w: &Workload, idioms: bool) -> Measurement {
 /// profiles, then re-run with the mined table applied.  Returns
 /// `(observe, mined, table)`.
 pub fn run_captive_idioms_mined(w: &Workload) -> (Measurement, Measurement, dbt::RuleTable) {
-    let cfg = || CaptiveConfig {
-        tiered: false,
-        ..CaptiveConfig::default()
-    };
-    let mut observer = Captive::new(cfg());
+    let mut observer = Captive::new(ablation_base());
     observer.set_idiom_rules(dbt::RuleTable::observe_only());
     let observe = drive_captive(w, &mut observer);
     let table = observer.mine_idiom_rules();
-    let mut miner = Captive::new(cfg());
+    let mut miner = Captive::new(ablation_base());
     miner.set_idiom_rules(table.clone());
     let mined = drive_captive(w, &mut miner);
     (observe, mined, table)
@@ -356,19 +354,7 @@ fn drive_captive(w: &Workload, c: &mut Captive) -> Measurement {
     for (name, n) in &s.idiom_candidates {
         counters.push((format!("idiom.cand.{name}"), *n));
     }
-    if s.virtio_kicks > 0 || s.external_invalidations > 0 {
-        counters.push(("virtio.kicks".into(), s.virtio_kicks));
-        counters.push(("virtio.submissions".into(), s.virtio_submissions));
-        counters.push(("virtio.completions".into(), s.virtio_completions));
-        counters.push(("virtio.irqs".into(), s.virtio_irqs));
-        counters.push(("virtio.fault_injections".into(), s.virtio_fault_injections));
-        counters.push(("virtio.dma_bytes".into(), s.virtio_dma_bytes));
-        counters.push(("virtio.io_errors".into(), s.virtio_io_errors));
-        counters.push((
-            "virtio.external_invalidations".into(),
-            s.external_invalidations,
-        ));
-    }
+    counters.extend(virtio_counters!(s));
     Measurement {
         cycles: s.cycles,
         host_insns: s.host_insns,
@@ -449,20 +435,7 @@ fn run_qemu_prepared(w: &Workload, mut q: QemuRef) -> Measurement {
         w.name
     );
     let s = q.stats();
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    if s.virtio_kicks > 0 || s.external_invalidations > 0 {
-        counters.push(("virtio.kicks".into(), s.virtio_kicks));
-        counters.push(("virtio.submissions".into(), s.virtio_submissions));
-        counters.push(("virtio.completions".into(), s.virtio_completions));
-        counters.push(("virtio.irqs".into(), s.virtio_irqs));
-        counters.push(("virtio.fault_injections".into(), s.virtio_fault_injections));
-        counters.push(("virtio.dma_bytes".into(), s.virtio_dma_bytes));
-        counters.push(("virtio.io_errors".into(), s.virtio_io_errors));
-        counters.push((
-            "virtio.external_invalidations".into(),
-            s.external_invalidations,
-        ));
-    }
+    let counters = virtio_counters!(s);
     Measurement {
         cycles: s.cycles,
         host_insns: s.host_insns,

@@ -1,27 +1,31 @@
 //! Code identity: the JIT back end's output is pinned byte for byte.
 //!
-//! Every loop, idiom and SPEC-named kernel runs at `Scale(1)` on the default
-//! engine in pump mode (`tier_workers: 0`: tier-1 formation runs inline at
-//! the drain point, so the set of installed regions is deterministic), and
-//! the resident host code of each run is hashed
-//! ([`dbt::CodeCache::code_digest`]).  The folded digest is pinned, so a
-//! change that was meant to leave generated code alone — a faster pass, a
-//! refactor of the optimiser or allocator — is proven byte-identical.
+//! Every loop, idiom and SPEC-named kernel runs at `Scale(1)` and the
+//! resident host code of each run is hashed ([`dbt::CodeCache::code_digest`])
+//! into one folded digest per formation schedule:
+//!
+//! * pump mode (`tier_workers: 0`): requests published at half the
+//!   formation threshold are formed inline at the drain point, so the set
+//!   of installed regions is deterministic;
+//! * `tiered: false`: every formation captures its snapshot at the
+//!   threshold and runs inline on the run thread.
+//!
+//! Both digests are pinned, so a change that was meant to leave generated
+//! code alone — a faster pass, a refactor of the optimiser, allocator or
+//! region former — is proven byte-identical under both schedules.
 //!
 //! Re-pinning after an *intended* codegen change: run this test, copy the
-//! digest from the failure message into `PINNED`, and say in the change's
-//! description which codegen change moved it.
+//! digest from the failure message into the matching constant, and say in
+//! the change's description which codegen change moved it.
 
 use captive::{Captive, CaptiveConfig, RunExit};
 use workloads::{Scale, Workload};
 
-const PINNED: u64 = 0x8543_f594_6789_121a;
+const PINNED_PUMP: u64 = 0x8543_f594_6789_121a;
+const PINNED_SYNC: u64 = 0xcec6_05cf_31cd_4441;
 
-fn resident_code_digest(w: &Workload) -> u64 {
-    let mut c = Captive::new(CaptiveConfig {
-        tier_workers: 0,
-        ..CaptiveConfig::default()
-    });
+fn resident_code_digest(w: &Workload, cfg: CaptiveConfig) -> u64 {
+    let mut c = Captive::new(cfg);
     c.load_program(workloads::CODE_BASE, &w.words);
     c.set_entry(w.entry);
     let exit = c.run(bench::BLOCK_BUDGET);
@@ -33,8 +37,9 @@ fn resident_code_digest(w: &Workload) -> u64 {
     c.cache.code_digest()
 }
 
-#[test]
-fn generated_code_matches_the_pinned_digest() {
+/// Folds the resident-code digests of every pinned kernel run under `cfg`,
+/// returning the digest and the kernel count.
+fn suite_digest(cfg: CaptiveConfig) -> (u64, usize) {
     let kernels: Vec<Workload> = workloads::loop_kernels(Scale(1))
         .into_iter()
         .chain(workloads::idiom_kernels(Scale(1)))
@@ -43,13 +48,31 @@ fn generated_code_matches_the_pinned_digest() {
         .collect();
     let mut folded = Vec::new();
     for w in &kernels {
-        folded.extend_from_slice(&resident_code_digest(w).to_le_bytes());
+        folded.extend_from_slice(&resident_code_digest(w, cfg.clone()).to_le_bytes());
     }
-    let digest = dbt::fnv1a(&folded);
+    (dbt::fnv1a(&folded), kernels.len())
+}
+
+#[test]
+fn generated_code_matches_the_pinned_digest() {
+    let (digest, kernels) = suite_digest(CaptiveConfig {
+        tier_workers: 0,
+        ..CaptiveConfig::default()
+    });
     assert_eq!(
-        digest,
-        PINNED,
-        "generated code changed over {} kernels: digest {digest:#018x}",
-        kernels.len()
+        digest, PINNED_PUMP,
+        "pump-mode generated code changed over {kernels} kernels: digest {digest:#018x}"
+    );
+}
+
+#[test]
+fn sync_mode_generated_code_matches_the_pinned_digest() {
+    let (digest, kernels) = suite_digest(CaptiveConfig {
+        tiered: false,
+        ..CaptiveConfig::default()
+    });
+    assert_eq!(
+        digest, PINNED_SYNC,
+        "sync-mode generated code changed over {kernels} kernels: digest {digest:#018x}"
     );
 }

@@ -611,8 +611,8 @@ proptest! {
     /// Looping regions are architecturally invisible on multi-block loop
     /// bodies with a nested conditional: for trip counts 0, 1 and a random
     /// count, and unroll factors 1–4, the kernel retires identical
-    /// registers *and* NZCV with looping regions on, off, and under the
-    /// QEMU-style baseline.  A low formation threshold makes even modest
+    /// registers *and* NZCV with looping regions, under chaining alone (no
+    /// regions), and under the QEMU-style baseline.  A low formation threshold makes even modest
     /// trip counts cross into formation, so the nested side exits, the
     /// peeled copies and the loop-exit leg all get exercised.
     #[test]
@@ -643,9 +643,9 @@ proptest! {
             a.push(asm::hlt());
             let words = a.finish();
 
-            let run = |loop_regions: bool, unroll: usize| {
+            let run = |form_regions: bool, unroll: usize| {
                 let mut c = Captive::new(CaptiveConfig {
-                    loop_regions,
+                    form_regions,
                     unroll_loops: unroll,
                     region_threshold: 4,
                     ..CaptiveConfig::default()
@@ -669,10 +669,10 @@ proptest! {
             ));
             for r in 0..16 {
                 let v = on.guest_reg(r);
-                prop_assert_eq!(v, off.guest_reg(r), "x{} diverged loops on/off", r);
+                prop_assert_eq!(v, off.guest_reg(r), "x{} diverged from chaining alone", r);
                 prop_assert_eq!(v, q.guest_reg(r), "x{} diverged from baseline", r);
             }
-            prop_assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV loops on/off");
+            prop_assert_eq!(on.guest_nzcv(), off.guest_nzcv(), "NZCV vs chaining alone");
             prop_assert_eq!(on.guest_nzcv(), q.guest_nzcv(), "NZCV vs baseline");
             if trips > 16 {
                 prop_assert!(

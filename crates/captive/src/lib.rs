@@ -83,7 +83,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 use tier::{FormationRequest, FormationResult, FormationSnapshot, TierService, WorkerOutcome};
-use translator::{form_region, translate_block};
+use translator::translate_block;
 
 /// How guest floating-point instructions are implemented.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -126,19 +126,15 @@ pub struct CaptiveConfig {
     /// Chain-link transfer count at which the link's target becomes a
     /// region trace head.
     pub region_threshold: u64,
-    /// Guest-instruction cap on one region trace.
+    /// Guest-instruction cap on one region trace.  Within it a hot loop
+    /// (single- or multi-block body) closes its back-edge inside the region
+    /// and iterates entirely in translated code — zero chain transfers and
+    /// zero dispatcher entries per trip, side-exit stubs with precise PC on
+    /// every cold leg and on loop exit.
     pub region_max_insns: usize,
-    /// Close back-edges inside regions: a hot loop (single- or multi-block
-    /// body) becomes ONE region that iterates entirely in translated code —
-    /// zero chain transfers and zero dispatcher entries per trip, side-exit
-    /// stubs with precise PC on every cold leg and on loop exit.  When off,
-    /// traces stop at loop closure (the pre-looping behaviour): only
-    /// single-block self-loops peel, and the final copy self-chains.
-    pub loop_regions: bool,
     /// Copies of a hot loop body stitched into one region before the
     /// back-edge closes (2–4 amortises the loop-back overhead; 0 or 1
-    /// disables peeling).  With `loop_regions` off this reverts to the
-    /// legacy single-block self-loop peeling.
+    /// disables peeling).
     pub unroll_loops: usize,
     /// Loop-carried register promotion (requires `opt`): in a looping
     /// region the hottest register-file slots live in host registers across
@@ -161,15 +157,21 @@ pub struct CaptiveConfig {
     pub cache_capacity_bytes: Option<usize>,
     /// Code-cache capacity in resident regions (`None` = unbounded).
     pub cache_capacity_regions: Option<usize>,
-    /// Two-tier translation: region formation runs on background workers
-    /// against immutable snapshots while the run thread keeps executing
-    /// tier-0 code, with generation/epoch/SMC-gated installs.  When `false`
-    /// every formation runs synchronously on the run thread — today's exact
-    /// single-threaded behaviour, kept as the comparable baseline.
+    /// Where region formation runs.  Every region is formed the same way —
+    /// against an immutable snapshot, settled through one install gate (see
+    /// [`tier`]) — and this only chooses *when* the snapshot is taken.  When
+    /// `true` a hot head's request is published at half the formation
+    /// threshold and formed behind tier-0 execution, so the run thread only
+    /// collects the result at the threshold.  When `false` each formation
+    /// captures its snapshot at the threshold and runs inline on the run
+    /// thread: the synchronous-JIT baseline whose wall-clock the tiered
+    /// engine is compared against.
     pub tiered: bool,
-    /// Tier-1 worker threads.  `0` selects *pump mode*: requests queue and
-    /// are processed inline at the drain point (identical outcomes, fully
-    /// deterministic interleaving — used by the SMC-race tests).
+    /// Tier-1 worker threads for published requests (only consulted when
+    /// `tiered` is on).  `0` selects *pump mode*: requests queue and are
+    /// processed inline at the drain point — single-threaded, fully
+    /// deterministic interleaving with the default publish-at-half-threshold
+    /// schedule, used by the SMC-race tests and the ablation entry points.
     pub tier_workers: usize,
     /// Content-keyed translation-reuse cache shared with other engine
     /// instances (the N-guests-one-image story).  `None` gives this
@@ -192,7 +194,6 @@ impl Default for CaptiveConfig {
             idioms: true,
             region_threshold: 16,
             region_max_insns: 256,
-            loop_regions: true,
             unroll_loops: 4,
             promote: true,
             max_block_insns: 64,
@@ -349,7 +350,7 @@ pub struct RunStats {
     pub reuse_misses: u64,
     /// JIT wall-clock the run thread blocked on, in nanoseconds: tier-0
     /// translation, snapshot capture, waits for in-flight results, and
-    /// synchronous formation (wall time, NOT modeled cycles — excluded from
+    /// inline formation (wall time, NOT modeled cycles — excluded from
     /// determinism comparisons).
     pub jit_wall_ns: u64,
     /// Wall-clock spent inside tier-1 workers, in nanoseconds (runs hidden
@@ -402,8 +403,9 @@ pub struct Captive {
     /// retrying on every hot transfer, and repeated failures quarantine the
     /// head permanently.
     quarantine: HashMap<RegionKey, FormationBackoff>,
-    /// The tier-1 formation service (`None` when `tiered` is off or regions
-    /// are disabled entirely).
+    /// The region-formation service (`None` when regions are disabled): it
+    /// forms inline on the run thread, and in tiered mode also runs
+    /// published requests on its workers (or pump queue).
     tier: Option<TierService>,
     /// Trace heads with a formation request in flight, mapped to the
     /// sequence number of the live request; results carrying any other
@@ -419,7 +421,7 @@ pub struct Captive {
     reuse: Option<Arc<ReuseCache>>,
     /// The guest-idiom rule table every translation applies when
     /// `config.idioms` is on.  Shared by `Arc` with background formation
-    /// workers so the synchronous path and tier-1 apply the *same* table;
+    /// workers so inline and queued formations apply the *same* table;
     /// its content hash joins the reuse key (see [`Captive::reuse_key_for`]).
     idiom_rules: Arc<RuleTable>,
     /// Tier-level wall-clock accounting (run-thread stall vs worker time).
@@ -439,6 +441,19 @@ enum ReuseOutcome {
     Refusal,
     /// Nothing usable is published for the key.
     Miss,
+}
+
+/// What settling one formation answer leaves for the caller to do.
+enum Settled {
+    /// The region passed the install gate: install it (boxed: the other
+    /// variants are a fraction of `Region`'s size).
+    Install(Box<Region>),
+    /// The snapshot lacked pages; they were captured into this request,
+    /// which must run again.
+    Refill(FormationRequest),
+    /// Nothing to install: the trace closed too short, the region was
+    /// stale, or the formation panicked.
+    Nothing,
 }
 
 /// Retry-backoff record for a trace head whose region formation failed.
@@ -480,7 +495,9 @@ impl Captive {
         let cache = CodeCache::new(CacheIndex::GuestPhysical);
         cache.set_capacity(config.cache_capacity_bytes, config.cache_capacity_regions);
         let tiered = config.tiered && config.form_regions;
-        let tier = tiered.then(|| TierService::new(config.tier_workers));
+        let tier = config
+            .form_regions
+            .then(|| TierService::new(if tiered { config.tier_workers } else { 0 }));
         let reuse = tiered.then(|| {
             config
                 .reuse_cache
@@ -936,7 +953,7 @@ impl Captive {
                             // region.
                             self.stats.chained_transfers += 1;
                             block = if self.config.form_regions {
-                                self.maybe_form_region(&block, slot, next, next_pc)
+                                self.maybe_form_region(&block, slot, next)
                             } else {
                                 next
                             };
@@ -990,20 +1007,21 @@ impl Captive {
     /// translation to execute: the (possibly just-formed) region, otherwise
     /// `next` unchanged.
     ///
-    /// **Tiered mode** splits the work across two points so formation runs
-    /// hidden behind execution: at *half* the threshold a fresh head's
-    /// request (snapshot + frozen profile) is published to the background
-    /// service; at the threshold — the same guest-progress point where the
-    /// synchronous mode forms, so modeled cycles are mode-independent — the
-    /// region is obtained from the content-keyed reuse cache, else from the
-    /// in-flight worker result (revalidated against live memory, discarded
-    /// if stale), else formed synchronously as the always-correct fallback.
+    /// Every formation runs against a snapshot and is settled by
+    /// [`Captive::settle`].  **Tiered mode** splits the work across two
+    /// points so formation runs hidden behind execution: at *half* the
+    /// threshold a fresh head's request (snapshot + frozen profile) is
+    /// published to the background service; at the threshold — the same
+    /// guest-progress point where `tiered: false` forms — the region is
+    /// obtained from the content-keyed reuse cache, else from the in-flight
+    /// worker result (revalidated against live memory, discarded if stale),
+    /// else formed inline against a snapshot taken now, the always-correct
+    /// fallback.
     fn maybe_form_region(
         &mut self,
         prev: &Arc<Region>,
         slot: usize,
         next: Arc<Region>,
-        next_pc: u64,
     ) -> Arc<Region> {
         if next.gated() {
             return next;
@@ -1026,9 +1044,9 @@ impl Captive {
         let key = next.key();
         // Tier-1 publish point: a fresh head halfway to the threshold gets
         // its request snapshotted and queued.  Heads already in flight are
-        // not re-published, and heads with a failure history retry
-        // synchronously (their traces close too short either way).
-        if self.tier.is_some()
+        // not re-published, and heads with a failure history retry inline
+        // (their traces close too short either way).
+        if self.config.tiered
             && heat == self.publish_point()
             && !self.inflight.contains_key(&key)
             && !self.quarantine.contains_key(&key)
@@ -1061,23 +1079,23 @@ impl Captive {
                 }
             }
         }
-        if self.tier.is_some() {
+        if self.config.tiered {
             match self.obtain_reuse(key, gen) {
                 ReuseOutcome::Hit(region) => {
                     return self.install_formed(*region, prev, slot, gen);
                 }
                 // A validated refusal: a worker (possibly in a prior run
                 // sharing the cache) already proved this content forms
-                // nothing, so fall straight through to the synchronous
-                // attempt — which will refuse identically — without
-                // waiting on the worker queue.
+                // nothing, so fall straight through to the inline attempt
+                // — which will refuse identically — without waiting on the
+                // worker queue.
                 ReuseOutcome::Refusal => {}
                 ReuseOutcome::Miss => {
                     if self.inflight.contains_key(&key) {
                         if let Some(region) = self.obtain_async(key, gen) {
                             return self.install_formed(region, prev, slot, gen);
                         }
-                        if self.quarantine.get(&key).is_some_and(|q| q.quarantined) {
+                        if self.is_quarantined(key) {
                             return next;
                         }
                     }
@@ -1085,23 +1103,7 @@ impl Captive {
             }
         }
         let t0 = Instant::now();
-        let idioms = self.config.idioms.then(|| Arc::clone(&self.idiom_rules));
-        let (formed, consumed) = form_region(
-            &self.isa,
-            &mut self.machine,
-            &mut self.runtime,
-            &mut self.timers,
-            &self.cache,
-            next_pc,
-            next.guest_phys,
-            self.config.region_max_insns,
-            self.config.unroll_loops,
-            self.config.loop_regions,
-            self.config.fp_mode,
-            self.config.opt,
-            self.config.promote,
-            idioms.as_deref(),
-        );
+        let formed = self.form_inline(key, gen);
         self.tier_timers.run_thread_stall += t0.elapsed();
         match formed {
             Some(region) => self.install_formed(region, prev, slot, gen),
@@ -1109,21 +1111,11 @@ impl Captive {
                 // Nothing worth keeping came out (one-constituent trace, or
                 // the translation bailed out).  Record the failure and back
                 // off: the next attempt requires twice the heat, and
-                // repeated failures quarantine the head for good.
-                //
-                // Publish the refusal under the content key just like the
-                // async path does for a worker's TooShort answer: engines
-                // sharing the reuse cache then skip the worker round-trip
-                // for these exact bytes.  Refusals only short-circuit that
-                // wait — the install point still falls through to a
-                // synchronous attempt — so this can never suppress a
-                // formation that would have succeeded.
-                if !consumed.is_empty() {
-                    if let Some(reuse) = &self.reuse {
-                        reuse.publish_refusal(self.reuse_key_for(key), consumed);
-                    }
+                // repeated failures quarantine the head for good.  A head
+                // whose formation panicked is already quarantined.
+                if !self.is_quarantined(key) {
+                    self.record_formation_failure(key, heat);
                 }
-                self.record_formation_failure(key, heat);
                 next
             }
         }
@@ -1138,8 +1130,8 @@ impl Captive {
 
     /// Installs a formed (or reused) region: write-protects its pages,
     /// publishes it for content-keyed reuse, inserts it at its key and
-    /// re-points the triggering chain link.  Shared by the synchronous,
-    /// asynchronous and reuse paths so the bookkeeping cannot diverge.
+    /// re-points the triggering chain link.  Shared by the inline, queued
+    /// and reuse paths so the bookkeeping cannot diverge.
     fn install_formed(
         &mut self,
         region: Region,
@@ -1160,9 +1152,8 @@ impl Captive {
             self.stats.loop_regions_formed += 1;
         }
         if let Some(reuse) = &self.reuse {
-            // Publish under the *live* page hashes: the async path just
-            // validated them equal to the formation snapshot's, and the
-            // sync path formed from live memory directly.
+            // Publish under the *live* page hashes: the install gate just
+            // validated them equal to the formation snapshot's.
             let hashes: Vec<(u64, u64)> = region
                 .pages
                 .iter()
@@ -1197,8 +1188,13 @@ impl Captive {
         }
     }
 
+    /// Whether `key` is permanently quarantined.
+    fn is_quarantined(&self, key: RegionKey) -> bool {
+        self.quarantine.get(&key).is_some_and(|q| q.quarantined)
+    }
+
     /// Records a failed formation for `key` and quarantines it at once: its
-    /// formation panicked on a tier-1 worker (see [`WorkerOutcome::Panicked`]).
+    /// formation panicked (see [`WorkerOutcome::Panicked`]).
     fn quarantine_head(&mut self, key: RegionKey) {
         self.record_formation_failure(key, 0);
         let q = self
@@ -1229,36 +1225,70 @@ impl Captive {
         }
     }
 
-    /// Publishes a tier-1 formation request for `key` and registers it
-    /// in flight.
-    fn publish_formation(&mut self, key: RegionKey) {
+    /// Builds a formation request for `key` against a snapshot captured now
+    /// (sequence 0: the caller numbers it if it is queued).
+    fn formation_request(&mut self, key: RegionKey) -> FormationRequest {
         let t0 = Instant::now();
         let snapshot = self.capture_snapshot();
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let request = FormationRequest {
-            seq,
+        self.tier_timers.snapshot_build += t0.elapsed();
+        FormationRequest {
+            seq: 0,
             key,
             snapshot,
             max_insns: self.config.region_max_insns,
             unroll: self.config.unroll_loops,
-            close_loops: self.config.loop_regions,
             fp_mode: self.config.fp_mode,
             run_opt: self.config.opt,
             promote: self.config.promote,
             idioms: self.config.idioms.then(|| Arc::clone(&self.idiom_rules)),
-        };
+        }
+    }
+
+    /// Queues `request` for `key` under a fresh sequence number and
+    /// registers it in flight.
+    fn submit_formation(&mut self, key: RegionKey, mut request: FormationRequest) {
+        request.seq = self.next_seq;
+        self.next_seq += 1;
+        self.inflight.insert(key, request.seq);
+        self.tier
+            .as_mut()
+            .expect("formation service")
+            .submit(request);
+    }
+
+    /// Publishes a tier-1 formation request for `key` and registers it
+    /// in flight.
+    fn publish_formation(&mut self, key: RegionKey) {
+        let t0 = Instant::now();
+        let request = self.formation_request(key);
         // Only the snapshot capture counts as run-thread translation stall:
         // the channel hand-off below wakes a sleeping worker, and the host
         // scheduler frequently deschedules the sender at that wake point —
         // hundreds of microseconds of scheduling artefact against a
         // single-digit-microsecond capture, none of it translation work.
-        let elapsed = t0.elapsed();
-        self.tier_timers.snapshot_build += elapsed;
-        self.tier_timers.run_thread_stall += elapsed;
-        self.inflight.insert(key, seq);
-        self.tier.as_mut().expect("tiered mode").submit(request);
+        self.tier_timers.run_thread_stall += t0.elapsed();
+        self.submit_formation(key, request);
         self.stats.tier1_requests += 1;
+    }
+
+    /// Forms the region at `key` inline on the run thread: a snapshot taken
+    /// now, the same contained formation a worker runs, and the same
+    /// settlement — refilling missing pages and re-running until the trace
+    /// completes.  `None` when nothing is installable.
+    fn form_inline(&mut self, key: RegionKey, gen: u64) -> Option<Region> {
+        let mut request = self.formation_request(key);
+        loop {
+            let result = self
+                .tier
+                .as_ref()
+                .expect("formation service")
+                .form_inline(request);
+            match self.settle(key, gen, result.outcome, false) {
+                Settled::Install(region) => return Some(*region),
+                Settled::Refill(refilled) => request = refilled,
+                Settled::Nothing => return None,
+            }
+        }
     }
 
     /// Looks `key` up in the content-keyed reuse cache, revalidating every
@@ -1292,12 +1322,12 @@ impl Captive {
         outcome
     }
 
-    /// Waits for the in-flight tier-1 result for `key`, revalidates it
-    /// against the live machine, and returns the region to install.  `None`
-    /// means the worker's answer cannot be used — the trace closed too
-    /// short, the region went stale between snapshot and install (counted
-    /// as a discard, never installed), or the service is gone — and the
-    /// caller falls back to synchronous formation.
+    /// Waits for the in-flight tier-1 result for `key`, settles it, and
+    /// returns the region to install.  `None` means the worker's answer
+    /// cannot be used — the trace closed too short, the region went stale
+    /// between snapshot and install, the formation panicked, or the service
+    /// is gone — and the caller falls back to inline formation unless the
+    /// head was quarantined.
     fn obtain_async(&mut self, key: RegionKey, gen: u64) -> Option<Region> {
         loop {
             let expected = self.inflight.get(&key).copied()?;
@@ -1305,7 +1335,7 @@ impl Captive {
                 Some(r) => r,
                 None => {
                     let t0 = Instant::now();
-                    let received = self.tier.as_mut().expect("tiered mode").recv();
+                    let received = self.tier.as_mut().expect("formation service").recv();
                     self.tier_timers.run_thread_stall += t0.elapsed();
                     match received {
                         Some(r) => r,
@@ -1319,71 +1349,20 @@ impl Captive {
                 }
             };
             if result.key == key && result.seq == expected {
-                match result.outcome {
-                    WorkerOutcome::Formed {
-                        region,
-                        consumed,
-                        timers,
-                        wall,
-                    } => {
-                        self.inflight.remove(&key);
-                        self.timers.merge(&timers);
-                        self.tier_timers.worker_wall += wall;
-                        // The install gate: the region must have been formed
-                        // under the current context generation AND every
-                        // page it read must still hold the captured bytes.
-                        let valid = region.ctx_gen == gen
-                            && consumed
-                                .iter()
-                                .all(|&(page, hash)| self.live_page_hash(page) == hash);
-                        if valid {
-                            self.stats.regions_installed_async += 1;
-                            return Some(*region);
-                        }
-                        self.stats.stale_discards += 1;
-                        return None;
+                self.inflight.remove(&key);
+                let t0 = Instant::now();
+                match self.settle(key, gen, result.outcome, true) {
+                    Settled::Install(region) => {
+                        self.stats.regions_installed_async += 1;
+                        return Some(*region);
                     }
-                    WorkerOutcome::TooShort {
-                        consumed,
-                        timers,
-                        wall,
-                    } => {
-                        self.inflight.remove(&key);
-                        self.timers.merge(&timers);
-                        self.tier_timers.worker_wall += wall;
-                        // Remember the refusal under the content key: the
-                        // same bytes never pay this round-trip again, here
-                        // or in a later run sharing the reuse cache.
-                        if let Some(reuse) = &self.reuse {
-                            reuse.publish_refusal(self.reuse_key_for(key), consumed);
-                        }
-                        return None;
-                    }
-                    WorkerOutcome::Panicked { .. } => {
-                        // The formation code itself failed on this input;
-                        // re-running it synchronously would fail the same
-                        // way on the run thread, so the head is
-                        // quarantined and keeps its unformed translation.
-                        self.inflight.remove(&key);
-                        self.quarantine_head(key);
-                        return None;
-                    }
-                    WorkerOutcome::NeedPages { mut request, pages } => {
-                        // Refill the snapshot from live memory and resubmit
-                        // under a fresh sequence number; the install gate
-                        // revalidates everything at the end regardless.
-                        let t0 = Instant::now();
-                        for page in pages {
-                            let bytes = self.read_live_page(page);
-                            request.snapshot.insert_page(page, bytes);
-                        }
-                        let seq = self.next_seq;
-                        self.next_seq += 1;
-                        request.seq = seq;
-                        self.inflight.insert(key, seq);
-                        self.tier.as_mut().expect("tiered mode").submit(request);
+                    Settled::Refill(request) => {
+                        // Resubmit under a fresh sequence number; the install
+                        // gate revalidates everything at the end regardless.
+                        self.submit_formation(key, request);
                         self.tier_timers.run_thread_stall += t0.elapsed();
                     }
+                    Settled::Nothing => return None,
                 }
             } else if self.inflight.get(&result.key) == Some(&result.seq) {
                 // A live result for a different key: park it until that key
@@ -1392,6 +1371,79 @@ impl Captive {
             }
             // Superseded or abandoned results are dropped on the floor —
             // their timers too, so no counter depends on worker scheduling.
+        }
+    }
+
+    /// Settles one formation answer for `key` — the single place every
+    /// formation, queued or inline, ends up.  `queued` says whether a
+    /// worker (or the pump queue) ran it, whose wall-clock then counts as
+    /// worker time.
+    ///
+    /// * `Formed` passes the install gate only if it was formed under the
+    ///   current context generation `gen` AND every page it read still
+    ///   holds the captured bytes; otherwise it is counted as a stale
+    ///   discard and never installed.
+    /// * `TooShort` is remembered under the content key, so the same bytes
+    ///   never pay a worker round-trip again, here or in a later run sharing
+    ///   the reuse cache.
+    /// * `NeedPages` refills the request's snapshot from live memory and
+    ///   hands it back to run again.
+    /// * `Panicked` quarantines the head: re-running formation code that
+    ///   just failed on this input would fail the same way, so the head
+    ///   keeps its unformed translation.
+    fn settle(
+        &mut self,
+        key: RegionKey,
+        gen: u64,
+        outcome: WorkerOutcome,
+        queued: bool,
+    ) -> Settled {
+        match outcome {
+            WorkerOutcome::Formed {
+                region,
+                consumed,
+                timers,
+                wall,
+            } => {
+                self.timers.merge(&timers);
+                if queued {
+                    self.tier_timers.worker_wall += wall;
+                }
+                let valid = region.ctx_gen == gen
+                    && consumed
+                        .iter()
+                        .all(|&(page, hash)| self.live_page_hash(page) == hash);
+                if valid {
+                    return Settled::Install(region);
+                }
+                self.stats.stale_discards += 1;
+                Settled::Nothing
+            }
+            WorkerOutcome::TooShort {
+                consumed,
+                timers,
+                wall,
+            } => {
+                self.timers.merge(&timers);
+                if queued {
+                    self.tier_timers.worker_wall += wall;
+                }
+                if let Some(reuse) = &self.reuse {
+                    reuse.publish_refusal(self.reuse_key_for(key), consumed);
+                }
+                Settled::Nothing
+            }
+            WorkerOutcome::NeedPages { mut request, pages } => {
+                for page in pages {
+                    let bytes = self.read_live_page(page);
+                    request.snapshot.insert_page(page, bytes);
+                }
+                Settled::Refill(request)
+            }
+            WorkerOutcome::Panicked { .. } => {
+                self.quarantine_head(key);
+                Settled::Nothing
+            }
         }
     }
 
@@ -1405,7 +1457,6 @@ impl Captive {
             knobs: pack_knobs(
                 self.config.fp_mode == FpMode::Software,
                 self.config.opt,
-                self.config.loop_regions,
                 self.config.promote,
                 self.config.idioms,
                 self.config.unroll_loops,
@@ -2270,9 +2321,8 @@ mod tests {
         // The pointer-chase shape: a single-block self-loop.  With looping
         // regions the body is peeled fourfold AND the final copy's loop-back
         // closes as a region-internal back-edge, so the whole countdown runs
-        // inside one region entry; with everything off the trace closes at
-        // one constituent and every iteration re-enters through a chain
-        // link.
+        // inside one region entry; under chaining alone every iteration
+        // re-enters through a chain link.
         let mut a = asm::Assembler::new();
         a.push(asm::movz(1, 4000, 0));
         a.push(asm::movz(9, 0, 0));
@@ -2282,10 +2332,9 @@ mod tests {
         a.cbnz_to(1, "chase");
         a.push(asm::hlt());
         let words = a.finish();
-        let run = |loop_regions: bool, unroll: usize| {
+        let run = |form_regions: bool| {
             let mut c = Captive::new(CaptiveConfig {
-                loop_regions,
-                unroll_loops: unroll,
+                form_regions,
                 ..CaptiveConfig::default()
             });
             c.load_program(0x1000, &words);
@@ -2293,18 +2342,15 @@ mod tests {
             assert_eq!(c.run(100_000), RunExit::GuestHalted { code: 0 });
             c
         };
-        let mut on = run(true, 4);
-        let mut off = run(false, 1);
+        let mut on = run(true);
+        let mut off = run(false);
         for r in 0..16 {
             assert_eq!(on.guest_reg(r), off.guest_reg(r), "x{r} diverged");
         }
         assert_eq!(on.guest_reg(9), 4000);
         let son = on.stats();
         let soff = off.stats();
-        assert_eq!(
-            soff.regions_formed, 0,
-            "with looping and peeling off the self-loop closes at one constituent"
-        );
+        assert_eq!(soff.regions_formed, 0, "chaining alone forms nothing");
         assert!(
             son.regions_unrolled >= 1 && son.loop_regions_formed >= 1,
             "the self-loop must form an unrolled looping region"
@@ -2347,10 +2393,16 @@ mod tests {
 
     #[test]
     fn virtual_aliases_of_a_hot_entry_each_get_a_live_region() {
-        // Two virtual pages map the same physical page holding a hot
-        // self-loop kernel; both entries must end up with their own live
-        // unrolled region (the old per-physical superblock slot made the
-        // aliases evict each other).
+        // Two virtual pages map the same physical page holding a hot loop
+        // kernel; both entries must end up with their own live unrolled
+        // region (the old per-physical superblock slot made the aliases
+        // evict each other), whether formed by a worker or inline.
+        for tiered in [true, false] {
+            virtual_aliases_each_form_a_region(tiered);
+        }
+    }
+
+    fn virtual_aliases_each_form_a_region(tiered: bool) {
         use guest_aarch64::mmu::{GuestPageFlags, GuestPageTableBuilder};
         let table = std::cell::RefCell::new(HashMap::<u64, u64>::new());
         let mut b = GuestPageTableBuilder::new(0x10_0000, 0x18_0000);
@@ -2370,15 +2422,23 @@ mod tests {
             map(0x3000, 0x3000); // kernel, identity
             map(0x8000, 0x3000); // kernel alias
         }
-        let mut c = Captive::new(CaptiveConfig::default());
+        let mut c = Captive::new(CaptiveConfig {
+            tiered,
+            ..CaptiveConfig::default()
+        });
         for (&a, &v) in table.borrow().iter() {
             c.write_guest_phys(a, v, 8);
         }
 
-        // Kernel at PA 0x3000: a single-block self-loop, then return.
+        // Kernel at PA 0x3000: a two-block loop, then return.  The direct
+        // jump makes the trace resolve a virtual address through the guest
+        // page tables, which are not code pages: a formation snapshot lacks
+        // them until the `NeedPages` refill captures them from live memory.
         let mut k = asm::Assembler::new();
         k.label("chase");
         k.push(asm::addi(9, 9, 1));
+        k.b_to("count");
+        k.label("count");
         k.push(asm::subi(5, 5, 1));
         k.cbnz_to(5, "chase");
         k.push(asm::ret());
@@ -2405,13 +2465,13 @@ mod tests {
         let s = c.stats();
         assert!(
             s.regions_unrolled >= 2,
-            "each alias must unroll its own region: {}",
+            "tiered {tiered}: each alias must unroll its own region: {}",
             s.regions_unrolled
         );
         assert_eq!(
             c.cache.multi_region_count(),
             2,
-            "both aliases hold a live region — no slot contention"
+            "tiered {tiered}: both aliases hold a live region — no slot contention"
         );
     }
 
@@ -2474,19 +2534,22 @@ mod tests {
 
     #[test]
     fn a_panicking_tier1_worker_degrades_the_run_instead_of_hanging_it() {
-        // Every tier-1 formation of this program panics (test-only fault
-        // injection keyed by entry address).  With two workers the run
-        // thread must still get an answer for each head it waits on,
-        // quarantine the head, and finish the guest on unformed code with
-        // the architectural result intact; pump mode behaves the same.
+        // Every formation of this program panics (test-only fault injection
+        // keyed by entry address).  With two workers the run thread must
+        // still get an answer for each head it waits on, quarantine the
+        // head, and finish the guest on unformed code with the
+        // architectural result intact; pump mode behaves the same, and so
+        // does `tiered: false`, whose inline formations run inside the same
+        // containment.
         let base = 0x5_0000;
         crate::tier::PANIC_AT
             .lock()
             .unwrap()
             .push(base..base + 0x1000);
         let words = multi_block_loop(3000);
-        for tier_workers in [2, 0] {
+        for (tiered, tier_workers) in [(true, 2), (true, 0), (false, 0)] {
             let mut c = Captive::new(CaptiveConfig {
+                tiered,
                 tier_workers,
                 ..CaptiveConfig::default()
             });
@@ -2495,10 +2558,15 @@ mod tests {
             assert_eq!(c.run(200_000), RunExit::GuestHalted { code: 0 });
             assert_eq!(c.guest_reg(9), 4_501_500);
             let stats = c.stats();
-            assert!(stats.tier1_requests >= 1, "the hot head was published");
-            assert_eq!(stats.regions_installed_async, 0);
-            assert!(stats.regions_quarantined >= 1, "{tier_workers} workers");
-            assert_eq!(stats.formation_failures, stats.regions_quarantined);
+            let leg = format!("tiered {tiered}, {tier_workers} workers");
+            assert_eq!(stats.tier1_requests >= 1, tiered, "{leg}: publishing");
+            assert_eq!(stats.regions_installed_async, 0, "{leg}");
+            assert_eq!(stats.regions_formed, 0, "{leg}");
+            assert!(stats.regions_quarantined >= 1, "{leg}");
+            assert_eq!(
+                stats.formation_failures, stats.regions_quarantined,
+                "{leg}: one failure per head, quarantined at once"
+            );
         }
     }
 
@@ -2508,7 +2576,8 @@ mod tests {
         // request is published (link heat 8) but *before* the install point
         // (heat 16).  The worker's region was formed from the stale
         // snapshot: the install gate must discard it — never install it —
-        // and the synchronous fallback forms from live (rewritten) code.
+        // and the inline fallback re-forms from a fresh snapshot of the
+        // rewritten code.
         // Pump mode keeps the interleaving deterministic.
         let mut main = asm::Assembler::new();
         main.push(asm::movz(6, 60, 0));
@@ -2553,7 +2622,7 @@ mod tests {
         );
         assert!(
             s.regions_formed >= 1,
-            "the synchronous fallback re-formed from live code"
+            "the inline fallback re-formed from the rewritten code"
         );
     }
 

@@ -240,15 +240,9 @@ impl CaptiveRuntime {
         self.read_gregfile(machine, guest_aarch64::SCTLR_OFF) & 1 != 0
     }
 
-    /// Translates a guest virtual address to a guest physical address using
-    /// the guest's translation state (used for instruction fetches and by the
-    /// translator).
-    pub fn guest_va_to_pa(
-        &mut self,
-        machine: &mut Machine,
-        va: u64,
-        write: bool,
-    ) -> Result<u64, GuestEvent> {
+    /// Translates an instruction-fetch guest virtual address to a guest
+    /// physical address using the guest's translation state.
+    pub fn guest_va_to_pa(&self, machine: &Machine, va: u64) -> Result<u64, GuestEvent> {
         if !self.guest_mmu_enabled(machine) {
             if va < self.guest_ram {
                 return Ok(va);
@@ -258,9 +252,6 @@ impl CaptiveRuntime {
         let ttbr0 = self.read_gregfile(machine, guest_aarch64::TTBR0_OFF);
         let walk = mmu::walk_guest(|a| self.read_guest_phys(machine, a), ttbr0, va)
             .map_err(|_| GuestEvent::InstrAbort { vaddr: va })?;
-        if write && !walk.flags.writable {
-            return Err(GuestEvent::DataAbort { vaddr: va, write });
-        }
         Ok(walk.frame | (va & 0xFFF))
     }
 
@@ -273,7 +264,7 @@ impl CaptiveRuntime {
             return Ok(pa);
         }
         let mmu_on = self.guest_mmu_enabled(machine);
-        let pa = self.guest_va_to_pa(machine, va, false)?;
+        let pa = self.guest_va_to_pa(machine, va)?;
         if mmu_on {
             machine.perf.cycles += machine.cost.page_walk_per_level * mmu::GUEST_LEVELS as u64;
         }

@@ -1,43 +1,56 @@
-//! The tier-1 half of the two-tier translation service: background region
-//! formation against immutable snapshots.
+//! Region formation against immutable snapshots: the one way a
+//! multi-constituent region is formed.
 //!
 //! Tier 0 (per-block translation) stays synchronous on the run thread so new
 //! code executes immediately.  Tier 1 — tracing, unrolling, loop closure,
-//! the LIR optimiser and register allocation — is expensive, and this module
-//! moves it off the run thread:
+//! the LIR optimiser and register allocation — always follows the same
+//! path:
 //!
-//! * When a chain link is *halfway* to the formation threshold the run
-//!   thread captures a [`FormationSnapshot`] — context generation,
-//!   translation state, the bytes of every code page, and a frozen
-//!   branch-heat profile — and publishes a [`FormationRequest`] to the
-//!   [`TierService`].
-//! * A worker thread traces and translates the region **entirely from the
-//!   snapshot** via [`SnapshotSource`] (never touching live guest state),
-//!   and hands the formed region back with the content hash of every page it
-//!   consumed.
-//! * When the link finally crosses the threshold, the run thread drains the
-//!   result and installs it through the ordinary replace-at-key mechanism —
-//!   but only after revalidating the context generation and every consumed
-//!   page hash against live memory.  A region formed against a stale
-//!   generation or a since-patched page is *discarded*, never installed.
+//! 1. The run thread captures a [`FormationSnapshot`]: context generation,
+//!    translation state, the bytes of every code page, and a frozen
+//!    branch-heat profile.
+//! 2. [`form_region_from`] traces and translates the region **entirely from
+//!    the snapshot** via [`SnapshotSource`] (never touching live guest
+//!    state), inside a panic guard, and answers a [`WorkerOutcome`] carrying
+//!    the content hash of every page it consumed.
+//! 3. The run thread settles the answer in one place (`Captive::settle`):
+//!    the install gate revalidates the context generation and every consumed
+//!    page hash against live memory, a too-short trace is published as a
+//!    reuse-cache refusal, missing pages are refilled from live memory and
+//!    the formation re-run, and a panic quarantines the head.  A region
+//!    formed against a stale generation or a since-patched page is
+//!    *discarded*, never installed.
+//!
+//! Only *where* step 2 runs differs:
+//!
+//! * **Queued** (`CaptiveConfig::tiered`, the default): when a chain link is
+//!   *halfway* to the formation threshold the run thread publishes a
+//!   [`FormationRequest`] to the [`TierService`], a worker forms it while the
+//!   run thread keeps executing tier-0 code, and the result is drained when
+//!   the link crosses the threshold.
+//! * **Inline** ([`TierService::form_inline`]): the snapshot is captured at
+//!   the threshold and formed at once on the run thread.  This serves every
+//!   formation under `tiered: false` and the tiered fallback after a stale,
+//!   too-short or refused answer.  Inline formations never wait behind
+//!   queued requests and never count as tier-1 requests.
 //!
 //! A snapshot is seeded with the pages already known to hold translated code;
 //! anything else the trace needs (page-table pages on an MMU-on guest, a
 //! straight-line fall-through onto a fresh page) surfaces as
 //! [`WorkerOutcome::NeedPages`], and the run thread refills the snapshot from
-//! live memory and resubmits — keeping snapshot capture cheap without
-//! guessing the reachable set up front.
+//! live memory and re-runs the formation — keeping snapshot capture cheap
+//! without guessing the reachable set up front.
 //!
 //! Decode results are memoised across requests ([`DecodeMemo`]): constituents
 //! traced by several candidate regions decode once.
 //!
-//! With `tier_workers == 0` the service runs in *pump mode*: requests queue
-//! locally and are processed inline (on the run thread) at the drain point.
-//! Outcomes are identical to the threaded service — pump mode exists so
-//! tests can interleave guest stores between publish and drain fully
-//! deterministically (the SMC-vs-snapshot race).
+//! With `tier_workers == 0` the service runs in *pump mode*: queued requests
+//! are processed inline (on the run thread) at the drain point.  Outcomes are
+//! identical to the threaded service — pump mode exists so tests can
+//! interleave guest stores between publish and drain fully deterministically
+//! (the SMC-vs-snapshot race).
 
-use crate::translator::{form_region_from, FormOutcome, SourceRead, TraceSource};
+use crate::translator::{form_region_from, FormOutcome, SourceRead};
 use crate::FpMode;
 use dbt::idiom::RuleTable;
 use dbt::{fnv1a, GuestIsa, PhaseTimers, Region, RegionKey};
@@ -86,12 +99,13 @@ impl FormationSnapshot {
     }
 }
 
-/// One queued tier-1 formation job: the hot region key plus the snapshot and
-/// codegen knobs to form it with.
+/// One formation job, queued or inline: the hot region key plus the
+/// snapshot and codegen knobs to form it with.
 #[derive(Debug, Clone)]
 pub struct FormationRequest {
-    /// Submission sequence number; a result is only honoured while its
-    /// sequence is still the key's registered in-flight request.
+    /// Submission sequence number (unused inline); a queued result is only
+    /// honoured while its sequence is still the key's registered in-flight
+    /// request.
     pub seq: u64,
     /// The trace head to form a region at.
     pub key: RegionKey,
@@ -101,8 +115,6 @@ pub struct FormationRequest {
     pub max_insns: usize,
     /// Loop-unroll factor.
     pub unroll: usize,
-    /// Close back-edges inside the region.
-    pub close_loops: bool,
     /// FP implementation strategy.
     pub fp_mode: FpMode,
     /// Run the LIR optimiser.
@@ -116,7 +128,7 @@ pub struct FormationRequest {
     pub idioms: Option<Arc<RuleTable>>,
 }
 
-/// What a worker produced for one request.
+/// What one formation produced, on a worker or inline.
 #[derive(Debug)]
 pub enum WorkerOutcome {
     /// A region was formed.  `consumed` lists every snapshot page the trace
@@ -135,8 +147,7 @@ pub enum WorkerOutcome {
         wall: Duration,
     },
     /// The trace closed at one constituent with no back-edge, or lowering
-    /// bailed out: the same refusal the synchronous former reports as
-    /// `None`.
+    /// bailed out: a region would add nothing over the plain block.
     TooShort {
         /// (page base, FNV-1a of the captured bytes) for every page the
         /// abandoned trace read — published as a reuse-cache *refusal* so
@@ -166,7 +177,7 @@ pub enum WorkerOutcome {
     },
 }
 
-/// A worker's reply, routed back to the run thread.
+/// The answer to one request, routed back to the run thread.
 #[derive(Debug)]
 pub struct FormationResult {
     /// The sequence number of the request this answers.
@@ -177,10 +188,11 @@ pub struct FormationResult {
     pub outcome: WorkerOutcome,
 }
 
-/// [`TraceSource`] over a [`FormationSnapshot`]: every read the region
-/// former performs resolves against captured bytes, never the live machine.
-/// Touched pages are recorded so the run thread can validate the formed
-/// region against live memory at install time.
+/// The region former's view of a [`FormationSnapshot`]: guest address
+/// resolution, code words, decoded instructions and branch-leg profiles, all
+/// resolved against captured bytes, never the live machine.  Touched pages
+/// are recorded so the run thread can validate the formed region against
+/// live memory at install time.
 pub struct SnapshotSource<'a> {
     snapshot: &'a FormationSnapshot,
     memo: &'a DecodeMemo,
@@ -242,14 +254,15 @@ impl<'a> SnapshotSource<'a> {
         }
         Some(value)
     }
-}
 
-impl TraceSource for SnapshotSource<'_> {
-    fn ctx_gen(&self) -> u64 {
+    /// Context generation the formation is stamped with.
+    pub fn ctx_gen(&self) -> u64 {
         self.snapshot.ctx_gen
     }
 
-    fn va_to_pa(&mut self, va: u64) -> SourceRead<u64> {
+    /// Resolves a guest virtual address to a physical address, walking the
+    /// captured page tables when the guest MMU was on.
+    pub fn va_to_pa(&mut self, va: u64) -> SourceRead<u64> {
         if !self.snapshot.mmu_enabled {
             return if va < self.snapshot.guest_ram {
                 SourceRead::Ok(va)
@@ -270,7 +283,8 @@ impl TraceSource for SnapshotSource<'_> {
         }
     }
 
-    fn read_code_word(&mut self, pa: u64) -> SourceRead<u32> {
+    /// Reads the guest code word at physical address `pa`.
+    pub fn read_code_word(&mut self, pa: u64) -> SourceRead<u32> {
         let page = pa & !0xFFF;
         match self.snapshot.pages.get(&page) {
             Some(bytes) => {
@@ -278,14 +292,16 @@ impl TraceSource for SnapshotSource<'_> {
                 let off = (pa & 0xFFF) as usize;
                 SourceRead::Ok(u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()))
             }
-            // Out-of-RAM fetches degrade to 0 (an UNDEF), matching the live
-            // source; a refill could never provide these pages.
+            // Out-of-RAM fetches degrade to 0 (an UNDEF), matching the
+            // per-block translator; a refill could never provide these pages.
             None if pa.saturating_add(4) > self.snapshot.guest_ram => SourceRead::Ok(0),
             None => SourceRead::Missing(page),
         }
     }
 
-    fn decode(&mut self, isa: &Aarch64Isa, word: u32, va: u64) -> Option<Decoded> {
+    /// Decodes `word` at `va` through the shared memo, so constituents
+    /// traced by several candidate regions decode once.
+    pub fn decode(&mut self, isa: &Aarch64Isa, word: u32, va: u64) -> Option<Decoded> {
         let key = (va, word);
         if let Some(hit) = self.memo.lock().unwrap().get(&key) {
             return *hit;
@@ -295,7 +311,10 @@ impl TraceSource for SnapshotSource<'_> {
         decoded
     }
 
-    fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)> {
+    /// Frozen taken/fallthrough link heats of the cached conditional block
+    /// at `key`, when a profile exists (`None` falls back to the static
+    /// backward-taken heuristic).
+    pub fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)> {
         self.snapshot.heats.get(&key).copied()
     }
 }
@@ -353,7 +372,6 @@ fn process(isa: &Aarch64Isa, memo: &DecodeMemo, req: FormationRequest) -> Format
         req.key.phys,
         req.max_insns,
         req.unroll,
-        req.close_loops,
         req.fp_mode,
         req.run_opt,
         req.promote,
@@ -455,13 +473,20 @@ impl TierService {
         matches!(self.backend, Backend::Pump(_))
     }
 
+    /// Forms `req` at once on the calling thread, with the same panic
+    /// containment and decode memo as a queued request, and without waiting
+    /// behind requests already queued.
+    pub fn form_inline(&self, req: FormationRequest) -> FormationResult {
+        process_contained(&self.isa, &self.memo, req)
+    }
+
     /// Queues a formation request.
     pub fn submit(&mut self, req: FormationRequest) {
         match &mut self.backend {
             Backend::Pump(queue) => queue.push_back(req),
             Backend::Threads { req_tx, .. } => {
                 // A send can only fail if every worker died; the caller then
-                // falls back to synchronous formation at the drain point.
+                // falls back to inline formation at the drain point.
                 let _ = req_tx.as_ref().expect("service is live").send(req);
             }
         }
@@ -543,7 +568,6 @@ mod tests {
             snapshot,
             max_insns: 256,
             unroll: 4,
-            close_loops: true,
             fp_mode: FpMode::Hardware,
             run_opt: true,
             promote: true,

@@ -7,18 +7,17 @@
 //! it produces is a [`Region`]: [`translate_block`] emits the
 //! one-constituent kind (a guest basic block, ending at the first
 //! branch/exception instruction, at a page boundary, or at the configured
-//! instruction limit), and [`form_region`] stitches a hot chained path —
-//! including unrolled single-block self-loops — into a multi-constituent
-//! one.
+//! instruction limit), and [`form_region_from`] stitches a hot chained path
+//! — including peeled and closed loops — into a multi-constituent one,
+//! reading only a [`crate::tier::FormationSnapshot`].
 
 use crate::layout;
-use crate::runtime::{sf_helpers, CaptiveRuntime};
+use crate::runtime::sf_helpers;
+use crate::tier::SnapshotSource;
 use crate::FpMode;
 use dbt::emitter::ValueType;
 use dbt::idiom::RuleTable;
-use dbt::{
-    BlockExit, ChainLinks, CodeCache, Emitter, GuestIsa, Phase, PhaseTimers, Region, RegionKey,
-};
+use dbt::{BlockExit, ChainLinks, Emitter, GuestIsa, Phase, PhaseTimers, Region, RegionKey};
 use guest_aarch64::gen::Decoded;
 use guest_aarch64::isa::{FpKind, Insn};
 use guest_aarch64::{v_off, Aarch64Isa};
@@ -183,135 +182,17 @@ fn undef_fallback_region(timers: &mut PhaseTimers, pc: u64, pa: u64) -> Region {
 /// Maximum constituent basic blocks stitched into one region.
 pub const REGION_MAX_BLOCKS: usize = 32;
 
-/// Result of one read against a [`TraceSource`].
+/// Result of one read against a [`SnapshotSource`].
 pub enum SourceRead<T> {
     /// The read succeeded.
     Ok(T),
     /// The address is not resolvable (unmapped, out of range): the trace
-    /// ends here, exactly as a live walk failure would end it.
+    /// ends here, exactly as a faulting fetch would end it.
     Fault,
-    /// The backing snapshot does not hold the physical page (base carried
-    /// here): formation must abort and report the page so the requester can
-    /// refill the snapshot and resubmit.  Never produced by a live source.
+    /// The snapshot does not hold the physical page (base carried here):
+    /// formation must abort and report the page so the requester can refill
+    /// the snapshot and resubmit.
     Missing(u64),
-}
-
-/// What the region former reads while tracing: guest address resolution,
-/// code words, decoded instructions and branch-leg profiles.  The run
-/// thread traces against the live machine ([`LiveSource`]); tier-1 workers
-/// trace against an immutable [`crate::tier::FormationSnapshot`], so a
-/// formed region is a pure function of the snapshot.
-pub trait TraceSource {
-    /// Context generation the formation is stamped with.
-    fn ctx_gen(&self) -> u64;
-    /// Resolves a guest virtual address to a physical address for tracing.
-    fn va_to_pa(&mut self, va: u64) -> SourceRead<u64>;
-    /// Reads the guest code word at physical address `pa`.
-    fn read_code_word(&mut self, pa: u64) -> SourceRead<u32>;
-    /// Decodes `word` at `va` (a snapshot source memoizes this, so
-    /// constituents traced by several candidate regions decode once).
-    fn decode(&mut self, isa: &Aarch64Isa, word: u32, va: u64) -> Option<Decoded>;
-    /// Taken/fallthrough link heats of the cached conditional block at
-    /// `key`, when a profile exists (`None` falls back to the static
-    /// backward-taken heuristic).
-    fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)>;
-}
-
-/// The run thread's trace source: reads the live machine, walks through the
-/// live runtime, and consults live chain-link heats.  [`form_region`] wraps
-/// it, preserving the synchronous formation path bit-for-bit.
-pub struct LiveSource<'a> {
-    /// The live guest machine.
-    pub machine: &'a mut Machine,
-    /// The live runtime (address resolution, context generation).
-    pub runtime: &'a mut CaptiveRuntime,
-    /// The code cache (profile consultation only).
-    pub cache: &'a CodeCache,
-    /// Guest physical code pages the trace read, in first-touch order — the
-    /// live-path mirror of [`crate::tier::SnapshotSource`]'s consumed set,
-    /// so a synchronous refusal can be published to the reuse cache with the
-    /// pages that prove it.  Unlike the snapshot source, the live walker
-    /// does not expose the page-table pages it touches, so on an MMU-on
-    /// guest the set covers code pages only; a refusal keyed on it can at
-    /// worst over-apply (skipping a worker round-trip that would have
-    /// refused anyway), never corrupt an installed translation.
-    pub consumed: Vec<u64>,
-}
-
-impl<'a> LiveSource<'a> {
-    /// Creates a live source with an empty consumed set.
-    pub fn new(
-        machine: &'a mut Machine,
-        runtime: &'a mut CaptiveRuntime,
-        cache: &'a CodeCache,
-    ) -> Self {
-        LiveSource {
-            machine,
-            runtime,
-            cache,
-            consumed: Vec::new(),
-        }
-    }
-
-    /// The consumed code pages with the FNV-1a hash of their *live* bytes,
-    /// read at call time (the synchronous path has no snapshot to hash).
-    pub fn consumed_hashes(&self) -> Vec<(u64, u64)> {
-        self.consumed
-            .iter()
-            .map(|&page| {
-                let mut bytes = vec![0u8; 4096];
-                for (i, b) in bytes.iter_mut().enumerate() {
-                    *b = self
-                        .machine
-                        .mem
-                        .read_uint(layout::GUEST_PHYS_BASE + page + i as u64, 1)
-                        .unwrap_or(0) as u8;
-                }
-                (page, dbt::fnv1a(&bytes))
-            })
-            .collect()
-    }
-}
-
-impl TraceSource for LiveSource<'_> {
-    fn ctx_gen(&self) -> u64 {
-        self.runtime.context_generation()
-    }
-
-    fn va_to_pa(&mut self, va: u64) -> SourceRead<u64> {
-        match self.runtime.guest_va_to_pa(self.machine, va, false) {
-            Ok(pa) => SourceRead::Ok(pa),
-            Err(_) => SourceRead::Fault,
-        }
-    }
-
-    fn read_code_word(&mut self, pa: u64) -> SourceRead<u32> {
-        let page = pa & !0xFFF;
-        if !self.consumed.contains(&page) {
-            self.consumed.push(page);
-        }
-        // An unreadable word degrades to 0 (an UNDEF), matching the
-        // per-block translator's behaviour.
-        SourceRead::Ok(
-            self.machine
-                .mem
-                .read_uint(layout::GUEST_PHYS_BASE + pa, 4)
-                .unwrap_or(0) as u32,
-        )
-    }
-
-    fn decode(&mut self, isa: &Aarch64Isa, word: u32, va: u64) -> Option<Decoded> {
-        isa.decode(word, va)
-    }
-
-    fn branch_heats(&self, key: RegionKey) -> Option<(u64, u64)> {
-        let b = self.cache.peek(key)?;
-        if matches!(b.exit, BlockExit::Branch { .. }) {
-            Some((b.link_heat(0), b.link_heat(1)))
-        } else {
-            None
-        }
-    }
 }
 
 /// Outcome of a generic region formation.
@@ -349,103 +230,55 @@ enum Step {
     Plain,
 }
 
-/// Forms a multi-constituent region: re-decodes and re-lowers the hot
-/// chained path starting at `entry_pc`/`entry_pa` as one translation,
-/// stitching direct jumps and fallthroughs into internal transfers and
-/// turning the off-trace leg of interior conditionals into out-of-line
-/// side-exit stubs.  The trace stops at indirect exits, untranslatable
-/// target pages, `max_insns` guest instructions, or [`REGION_MAX_BLOCKS`]
-/// constituents.  Returns `None` when the result would be neither
+/// Forms a multi-constituent region — the engine's only region former.
+/// Re-decodes and re-lowers the hot chained path starting at
+/// `entry_pc`/`entry_pa` as one translation, stitching direct jumps and
+/// fallthroughs into internal transfers and turning the off-trace leg of
+/// interior conditionals into out-of-line side-exit stubs.  The trace stops
+/// at indirect exits, untranslatable target pages, `max_insns` guest
+/// instructions, or [`REGION_MAX_BLOCKS`] constituents.  Returns
+/// [`FormOutcome::TooShort`] when the result would be neither
 /// multi-constituent nor looping (a region would add nothing over the plain
 /// block).
 ///
-/// **Looping regions.** With `close_loops` set, a back edge to an
-/// already-traced constituent does not end the trace: it closes as a
-/// *region-internal backward transfer* ([`hvm::MachInsn::BackEdge`]) to a
-/// label bound at the target's first constituent, so a hot loop — the
-/// header, its body blocks, and the hotter conditional legs — iterates
-/// entirely inside one translation.  Only cold legs and the loop exit leave,
-/// through side-exit stubs with precise PC; the closing conditional's exit
-/// leg carries ordinary [`dbt::BlockExit::Branch`] metadata so it chains.
-/// The trace always ends at the close (execution cannot proceed past a
-/// closed loop).
+/// Every read goes through `source`, an immutable
+/// [`crate::tier::FormationSnapshot`]: a formed region is a pure function of
+/// the snapshot, whether a tier-1 worker or the run thread runs the
+/// formation.  A page the snapshot lacks aborts the trace with
+/// [`FormOutcome::NeedPages`].
+///
+/// **Looping regions.** A back edge to an already-traced constituent does
+/// not end the trace: it closes as a *region-internal backward transfer*
+/// ([`hvm::MachInsn::BackEdge`]) to a label bound at the target's first
+/// constituent, so a hot loop — the header, its body blocks, and the hotter
+/// conditional legs — iterates entirely inside one translation.  Only cold
+/// legs and the loop exit leave, through side-exit stubs with precise PC;
+/// the closing conditional's exit leg carries ordinary
+/// [`dbt::BlockExit::Branch`] metadata so it chains.  The trace always ends
+/// at the close (execution cannot proceed past a closed loop).
 ///
 /// **Unrolling.** Before closing, the loop body is *peeled*: back edges to
 /// the loop header re-trace the body (forward-stitched like any hot path)
 /// until `unroll` copies are stitched, and the back-edge then targets the
 /// first copy, so each internal trip covers `unroll` iterations and the
-/// per-iteration loop-back overhead is amortised.  This generalises the old
-/// single-block self-loop peeling to whole multi-block bodies.  With
-/// `close_loops` off, the legacy behaviour is kept bit-for-bit: only
-/// single-block self-loops peel, the final copy's branch self-chains, and
-/// multi-block loops end the trace at closure.
+/// per-iteration loop-back overhead is amortised.
 ///
 /// For interior conditionals the continuation leg is chosen by profile: the
-/// hotter chain-link slot of the cached region containing the branch,
-/// falling back to the static backward-branch heuristic when the profile is
-/// empty.
+/// hotter chain-link slot of the cached region containing the branch, as
+/// frozen in the snapshot, falling back to the static backward-branch
+/// heuristic when the profile is empty.
 ///
 /// Formation is pure JIT work: it charges no simulated cycles and touches no
-/// iTLB/gTLB counters (guest translations are resolved through the
-/// uncharged walker).
+/// iTLB/gTLB counters.
 #[allow(clippy::too_many_arguments)]
-pub fn form_region(
+pub fn form_region_from(
     isa: &Aarch64Isa,
-    machine: &mut Machine,
-    runtime: &mut CaptiveRuntime,
-    timers: &mut PhaseTimers,
-    cache: &CodeCache,
-    entry_pc: u64,
-    entry_pa: u64,
-    max_insns: usize,
-    unroll: usize,
-    close_loops: bool,
-    fp_mode: FpMode,
-    run_opt: bool,
-    promote: bool,
-    idioms: Option<&RuleTable>,
-) -> (Option<Region>, Vec<(u64, u64)>) {
-    let mut source = LiveSource::new(machine, runtime, cache);
-    match form_region_from(
-        isa,
-        &mut source,
-        timers,
-        entry_pc,
-        entry_pa,
-        max_insns,
-        unroll,
-        close_loops,
-        fp_mode,
-        run_opt,
-        promote,
-        idioms,
-    ) {
-        FormOutcome::Formed(region) => (Some(*region), Vec::new()),
-        // A live source never reports missing pages; TooShort is the
-        // ordinary "a region would add nothing" refusal, reported with the
-        // code pages the abandoned trace consumed so the caller can publish
-        // it to the reuse cache.
-        FormOutcome::TooShort | FormOutcome::NeedPages(_) => {
-            let consumed = source.consumed_hashes();
-            (None, consumed)
-        }
-    }
-}
-
-/// The generic former behind [`form_region`]: identical tracing, stitching,
-/// peeling and closing logic, but every read goes through the
-/// [`TraceSource`] — the live machine on the synchronous path, an immutable
-/// snapshot on a tier-1 worker.
-#[allow(clippy::too_many_arguments)]
-pub fn form_region_from<S: TraceSource + ?Sized>(
-    isa: &Aarch64Isa,
-    source: &mut S,
+    source: &mut SnapshotSource,
     timers: &mut PhaseTimers,
     entry_pc: u64,
     entry_pa: u64,
     max_insns: usize,
     unroll: usize,
-    close_loops: bool,
     fp_mode: FpMode,
     run_opt: bool,
     promote: bool,
@@ -569,7 +402,7 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
                     Step::Plain
                 }
             }
-            Some(t) if close_loops => {
+            Some(t) => {
                 // A back edge to a traced constituent.  Peel while budget
                 // allows and fewer than `unroll` copies of the header have
                 // been stitched (a non-header revisit mid-peel is simply the
@@ -591,22 +424,6 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
                     Step::Forward(t, pa)
                 } else {
                     Step::Close(t)
-                }
-            }
-            Some(t) => {
-                // Legacy stop-at-closure behaviour (loop regions disabled):
-                // only a single-block self-loop peels, and the final copy's
-                // branch is left as the ordinary self-chaining terminator.
-                if budget_left
-                    && t == entry_pc
-                    && unroll > 1
-                    && visited.len() < unroll
-                    && visited.iter().all(|v| *v == entry_pc)
-                {
-                    loop_header = Some(entry_pc);
-                    Step::Forward(t, entry_pa)
-                } else {
-                    Step::Plain
                 }
             }
         };
@@ -752,11 +569,11 @@ pub fn form_region_from<S: TraceSource + ?Sized>(
 }
 
 /// Picks the continuation leg of an interior conditional: the hotter chain
-/// link of the block holding the branch (live links or a frozen profile
-/// snapshot, per the source), falling back to "backward taken targets are
+/// link of the block holding the branch (from the snapshot's frozen
+/// profile), falling back to "backward taken targets are
 /// loops" when the profile is empty or tied.
-fn choose_leg<S: TraceSource + ?Sized>(
-    source: &S,
+fn choose_leg(
+    source: &SnapshotSource,
     block_pa: u64,
     block_va: u64,
     branch_va: u64,

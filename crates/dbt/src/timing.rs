@@ -140,8 +140,8 @@ impl PhaseTimers {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TierTimers {
     /// JIT wall-clock the run thread blocked on: tier-0 block translation,
-    /// snapshot capture, waits for in-flight tier-1 results, and synchronous
-    /// formation fallbacks.  This is the guest-visible translation latency.
+    /// snapshot capture, waits for in-flight tier-1 results, and inline
+    /// formations.  This is the guest-visible translation latency.
     pub run_thread_stall: Duration,
     /// Share of `run_thread_stall` spent capturing formation snapshots.
     pub snapshot_build: Duration,
