@@ -1,6 +1,9 @@
 //! Regenerates the paper's tables and figures on the simulated substrate.
 //!
-//! Usage: `cargo run --release -p bench --bin figures -- [all|fig17|fig18|fig19|fig20|jitstats|fig21|fig22|table2|fp_modes|chaining|regions|loops|promote|scale|opt|idioms|storm|tiers|io]`
+//! Usage: `cargo run --release -p bench --bin figures -- [all|<section>]`,
+//! where the sections are the names in [`SECTIONS`]; `all` (the default)
+//! runs every one in table order.  An unknown section exits nonzero with
+//! the list of valid ones.
 //!
 //! The `chaining`, `regions`, `loops`, `promote`, `scale`, `opt`, `idioms`
 //! and `storm` sections double as CI smoke checks: they assert the counter
@@ -15,73 +18,51 @@
 //! delivered on both engines) and panic on regression.
 
 use bench::{
-    geomean, native_model, run_both_raw, run_captive, run_captive_chaining, run_captive_idioms,
-    run_captive_idioms_mined, run_captive_loops, run_captive_opt, run_captive_promote,
-    run_captive_regions, run_captive_with, run_qemu, run_qemu_chaining, run_qemu_goto_tb,
-    Measurement,
+    drive_captive, drive_qemu, geomean, native_model, run_both_raw, run_captive,
+    run_captive_chaining, run_captive_idioms, run_captive_idioms_mined, run_captive_loops,
+    run_captive_opt, run_captive_promote, run_captive_regions, run_captive_with, run_qemu,
+    run_qemu_chaining, run_qemu_goto_tb,
 };
-use captive::FpMode;
+use captive::{Captive, FpMode, RunStats};
+use qemu_ref::QemuRef;
 use workloads::Scale;
+
+/// Every section, in the order `all` runs them.
+const SECTIONS: &[(&str, fn())] = &[
+    ("fig17", fig17),
+    ("fig18", fig18),
+    ("fig19", fig19),
+    ("fig20", fig20_and_jitstats),
+    ("fig21", fig21),
+    ("fig22", fig22),
+    ("table2", table2),
+    ("fp_modes", fp_modes),
+    ("chaining", chaining),
+    ("regions", regions),
+    ("loops", loops),
+    ("promote", promote),
+    ("json", json),
+    ("scale", scale),
+    ("opt", opt),
+    ("idioms", idioms),
+    ("storm", storm),
+    ("tiers", tiers),
+    ("io", io),
+];
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
-    let all = arg == "all";
-    if all || arg == "fig17" {
-        fig17();
-    }
-    if all || arg == "fig18" {
-        fig18();
-    }
-    if all || arg == "fig19" {
-        fig19();
-    }
-    if all || arg == "fig20" || arg == "jitstats" {
-        fig20_and_jitstats();
-    }
-    if all || arg == "fig21" {
-        fig21();
-    }
-    if all || arg == "fig22" {
-        fig22();
-    }
-    if all || arg == "table2" {
-        table2();
-    }
-    if all || arg == "fp_modes" {
-        fp_modes();
-    }
-    if all || arg == "chaining" {
-        chaining();
-    }
-    if all || arg == "regions" || arg == "superblocks" {
-        regions();
-    }
-    if all || arg == "loops" {
-        loops();
-    }
-    if all || arg == "promote" {
-        promote();
-    }
-    if all || arg == "json" {
-        json();
-    }
-    if all || arg == "scale" {
-        scale();
-    }
-    if all || arg == "opt" {
-        opt();
-    }
-    if all || arg == "idioms" {
-        idioms();
-    }
-    if all || arg == "storm" {
-        storm();
-    }
-    if all || arg == "tiers" {
-        tiers();
-    }
-    if all || arg == "io" {
-        io();
+    if arg == "all" {
+        SECTIONS.iter().for_each(|(_, run)| run());
+    } else if let Some((_, run)) = SECTIONS.iter().find(|(name, _)| *name == arg) {
+        run();
+    } else {
+        let names: Vec<&str> = SECTIONS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "figures: unknown section {arg:?}; expected all|{}",
+            names.join("|")
+        );
+        std::process::exit(2);
     }
 }
 
@@ -92,17 +73,17 @@ fn io() {
         "kernel", "engine", "cycles", "compl", "dma-bytes", "faults", "io-err", "ext-inval"
     );
     let vcfg = workloads::vblk_config();
-    let row = |kernel: &str, engine: &str, m: &Measurement| {
+    let row = |kernel: &str, engine: &str, m: &RunStats| {
         println!(
             "{:<14} {:<10} {:>12} {:>6} {:>9} {:>7} {:>7} {:>10}",
             kernel,
             engine,
             m.cycles,
-            m.counter("virtio.completions"),
-            m.counter("virtio.dma_bytes"),
-            m.counter("virtio.fault_injections"),
-            m.counter("virtio.io_errors"),
-            m.counter("virtio.external_invalidations"),
+            m.virtio_completions,
+            m.virtio_dma_bytes,
+            m.virtio_fault_injections,
+            m.virtio_io_errors,
+            m.external_invalidations,
         );
     };
     // Clean-disk kernels: both engines must retire every request with no
@@ -112,20 +93,14 @@ fn io() {
         let q = bench::run_qemu_io(&w, vcfg.clone());
         row(w.name, "captive", &c);
         row(w.name, "qemu", &q);
-        assert!(
-            c.counter("virtio.completions") > 0,
-            "{}: device did no work",
+        assert!(c.virtio_completions > 0, "{}: device did no work", w.name);
+        assert_eq!(
+            (c.virtio_completions, c.virtio_dma_bytes, c.virtio_io_errors),
+            (q.virtio_completions, q.virtio_dma_bytes, q.virtio_io_errors),
+            "{}: (completions, dma_bytes, io_errors) diverged across engines",
             w.name
         );
-        for key in ["virtio.completions", "virtio.dma_bytes", "virtio.io_errors"] {
-            assert_eq!(
-                c.counter(key),
-                q.counter(key),
-                "{}: {key} diverged across engines",
-                w.name
-            );
-        }
-        assert_eq!(c.counter("virtio.io_errors"), 0, "{}: clean disk", w.name);
+        assert_eq!(c.virtio_io_errors, 0, "{}: clean disk", w.name);
     }
     // Fault-injection leg: a seed chosen (deterministically) to bite inside
     // the first three of io.read's four requests.  Faults must surface as
@@ -147,14 +122,11 @@ fn io() {
     row("io.read+fault", "captive", &c);
     row("io.read+fault", "qemu", &q);
     assert!(
-        c.counter("virtio.fault_injections") > 0,
+        c.virtio_fault_injections > 0,
         "the chosen fault seed must inject"
     );
-    assert_eq!(
-        c.counter("virtio.fault_injections"),
-        q.counter("virtio.fault_injections")
-    );
-    assert_eq!(c.counter("virtio.io_errors"), q.counter("virtio.io_errors"));
+    assert_eq!(c.virtio_fault_injections, q.virtio_fault_injections);
+    assert_eq!(c.virtio_io_errors, q.virtio_io_errors);
     // Device-originated SMC: the io.smc kernel's completion DMAs over its
     // own (live, looping) spin page, so both engines must walk their
     // external-invalidation path to terminate.
@@ -165,8 +137,7 @@ fn io() {
     row(w.name, "captive", &c);
     row(w.name, "qemu", &q);
     assert!(
-        c.counter("virtio.external_invalidations") > 0
-            && q.counter("virtio.external_invalidations") > 0,
+        c.external_invalidations > 0 && q.external_invalidations > 0,
         "device DMA onto translated code must invalidate on both engines"
     );
     assert!(
@@ -178,7 +149,7 @@ fn io() {
     let w = workloads::loop_flood(4, 8, 20);
     let idle = bench::run_captive_io(&w, vcfg, captive::CaptiveConfig::default());
     let bare = bench::run_captive(&w);
-    assert_eq!(idle.counter("virtio.kicks"), 0);
+    assert_eq!(idle.virtio_kicks, 0);
     assert_eq!(
         idle.cycles, bare.cycles,
         "an idle attached device must be cycle-free"
@@ -257,11 +228,13 @@ fn fig20_and_jitstats() {
     let mut qemu_bytes = 0u64;
     let mut qemu_insns = 0u64;
     for w in workloads::spec_int(Scale(1)) {
-        let c = run_captive(&w);
-        let q = run_qemu(&w);
-        cap_frac = c.jit_fractions;
-        cap_time += c.jit_seconds;
-        qemu_time += q.jit_seconds;
+        let mut captive = Captive::new(captive::CaptiveConfig::default());
+        let c = drive_captive(&w, &mut captive);
+        let mut qemu = QemuRef::new(32 * 1024 * 1024);
+        let q = drive_qemu(&w, &mut qemu);
+        cap_frac = captive.timers.fractions();
+        cap_time += captive.timers.total().as_secs_f64();
+        qemu_time += qemu.timers.total().as_secs_f64();
         if w.name == "429.mcf" {
             cap_bytes = c.code_bytes;
             cap_insns = c.translations;
@@ -389,7 +362,7 @@ fn chaining() {
         let off = run_captive_chaining(w, false);
         let q = run_qemu(w);
         let qc = run_qemu_chaining(w, true);
-        let itlb_rate = on.itlb_hit_rate();
+        let itlb_rate = on.itlb_hits as f64 / (on.itlb_hits + on.itlb_misses).max(1) as f64;
         assert!(
             on.cycles <= off.cycles,
             "{}: chaining regressed ({} > {})",
@@ -679,76 +652,23 @@ fn promote() {
     );
 }
 
-/// One JSON record per (kernel, engine) with the counters the perf
-/// trajectory is tracked on across PRs.
-fn json_record(out: &mut String, kernel: &str, engine: &str, m: &Measurement) {
+/// One JSON record per (kernel, engine): the modeled MIPS, then every
+/// [`RunStats::counters`] entry under its registry name.
+fn json_record(out: &mut String, kernel: &str, engine: &str, m: &RunStats) {
     let mips = if m.cycles == 0 {
         0.0
     } else {
         m.guest_insns as f64 / (m.cycles as f64 / 3.5e9) / 1e6
     };
-    // Keys are engine-generated identifiers ([a-z0-9._] only), so no JSON
-    // string escaping is needed.
-    let counters = m
-        .counters
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect::<Vec<_>>()
-        .join(", ");
     out.push_str(&format!(
-        "    {{\"kernel\": \"{kernel}\", \"engine\": \"{engine}\", \
-         \"cycles\": {}, \"guest_insns\": {}, \"mips\": {mips:.1}, \
-         \"blocks\": {}, \"chained_transfers\": {}, \"region_transfers\": {}, \
-         \"backedge_transfers\": {}, \"regions_formed\": {}, \
-         \"loop_regions_formed\": {}, \"opt_dead_stores\": {}, \
-         \"opt_forwarded_loads\": {}, \"opt_partial_forwarded\": {}, \
-         \"opt_copies_folded\": {}, \"opt_promoted_slots\": {}, \
-         \"opt_hoisted_loads\": {}, \"opt_fp_forwarded\": {}, \
-         \"opt_idioms_fused\": {}, \
-         \"goto_tb_transfers\": {}, \"elided_dyn_insns\": {}, \
-         \"irqs_delivered\": {}, \"timer_irqs\": {}, \
-         \"capacity_evictions\": {}, \"bytes_live\": {}, \
-         \"regions_live\": {}, \"formation_failures\": {}, \
-         \"regions_quarantined\": {}, \"lower_bailouts\": {}, \
-         \"tier1_requests\": {}, \"regions_installed_async\": {}, \
-         \"stale_discards\": {}, \"reuse_hits\": {}, \"reuse_misses\": {}, \
-         \"jit_wall_ns\": {}, \"tier_worker_wall_ns\": {}, \
-         \"first_region_install_ns\": {}, \"counters\": {{{counters}}}}}",
-        m.cycles,
-        m.guest_insns,
-        m.blocks,
-        m.chained_transfers,
-        m.region_transfers,
-        m.backedge_transfers,
-        m.regions_formed,
-        m.loop_regions_formed,
-        m.opt_dead_stores,
-        m.opt_forwarded_loads,
-        m.opt_partial_forwarded,
-        m.opt_copies_folded,
-        m.opt_promoted_slots,
-        m.opt_hoisted_loads,
-        m.opt_fp_forwarded,
-        m.opt_idioms_fused,
-        m.goto_tb_transfers,
-        m.elided_dyn_insns,
-        m.irqs_delivered,
-        m.timer_irqs,
-        m.capacity_evictions,
-        m.bytes_live,
-        m.regions_live,
-        m.formation_failures,
-        m.regions_quarantined,
-        m.lower_bailouts,
-        m.tier1_requests,
-        m.regions_installed_async,
-        m.stale_discards,
-        m.reuse_hits,
-        m.reuse_misses,
-        m.jit_wall_ns,
-        m.tier_worker_wall_ns,
-        m.first_region_install_ns,
+        "    {{\"kernel\": \"{kernel}\", \"engine\": \"{engine}\", \"mips\": {mips:.1}"
     ));
+    // Registry names are [a-z0-9._] only, so no JSON string escaping is
+    // needed.
+    for (name, value) in m.counters() {
+        out.push_str(&format!(", \"{name}\": {value}"));
+    }
+    out.push('}');
 }
 
 fn json() {
@@ -757,7 +677,7 @@ fn json() {
     // Consumers key records by (kernel, engine), so every engine label must
     // name its configuration uniquely.
     let mut keys = std::collections::HashSet::new();
-    let mut push = |kernel: &str, engine: &str, m: &Measurement| {
+    let mut push = |kernel: &str, engine: &str, m: &RunStats| {
         assert!(
             keys.insert((kernel.to_string(), engine.to_string())),
             "duplicate BENCH_figures.json record ({kernel}, {engine})"
@@ -800,15 +720,14 @@ fn json() {
         push(w.name, "captive", &run_captive(&w));
         push(w.name, "qemu", &run_qemu(&w));
     }
-    // The guest-idiom trajectory: per-rule hit/candidate counters land in
-    // each record's "counters" object.
+    // The guest-idiom trajectory: every record carries the per-rule
+    // `idiom.hit.*` / `idiom.cand.*` counters.
     for w in workloads::idiom_kernels(Scale(1)) {
         push(w.name, "captive-idiom", &run_captive_idioms(&w, true));
         push(w.name, "captive-noidiom", &run_captive_idioms(&w, false));
         push(w.name, "qemu", &run_qemu(&w));
     }
-    // The virtio-blk I/O kernels, including the device-originated-SMC case;
-    // the virtio.* counters land in each record's "counters" object.
+    // The virtio-blk I/O kernels, including the device-originated-SMC case.
     let vcfg = workloads::vblk_config();
     for w in workloads::io_kernels() {
         push(
@@ -841,7 +760,7 @@ fn json() {
         ),
     );
     let body = format!(
-        "{{\n  \"schema\": \"bench-figures-v1\",\n  \"results\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"schema\": \"bench-figures-v2\",\n  \"results\": [\n{}\n  ]\n}}\n",
         records.join(",\n")
     );
     std::fs::write("BENCH_figures.json", &body).expect("write BENCH_figures.json");
@@ -1020,8 +939,8 @@ fn idioms() {
             "{}: idioms fused with the layer disabled",
             w.name
         );
-        for (i, kind) in dbt::RuleKind::ALL.iter().enumerate() {
-            per_rule[i] += on.counter(&format!("idiom.hit.{}", kind.name()));
+        for (total, hits) in per_rule.iter_mut().zip(on.idiom_hits) {
+            *total += hits;
         }
         total_fused += on.opt_idioms_fused;
         let vs_off = off.cycles as f64 / on.cycles as f64;
@@ -1035,10 +954,10 @@ fn idioms() {
             off.cycles,
             vs_off,
             on.opt_idioms_fused,
-            on.counter("idiom.hit.fuse.cmpbr"),
-            on.counter("idiom.hit.fuse.tstbr"),
-            on.counter("idiom.hit.fuse.cbz"),
-            on.counter("idiom.hit.bulk.memset"),
+            on.idiom_hits[dbt::RuleKind::FuseCmpBr.index()],
+            on.idiom_hits[dbt::RuleKind::FuseTstBr.index()],
+            on.idiom_hits[dbt::RuleKind::FuseCbz.index()],
+            on.idiom_hits[dbt::RuleKind::BulkMemset.index()],
         );
     }
     // Every shipped rule must pay its way: at least one hit somewhere on the
@@ -1079,7 +998,7 @@ fn idioms() {
         "observe-only mode must not rewrite anything"
     );
     assert!(
-        observe.counter("idiom.cand.fuse.cmpbr") > 0,
+        observe.idiom_candidates[dbt::RuleKind::FuseCmpBr.index()] > 0,
         "observe-only mode must still count candidates"
     );
     for kind in [

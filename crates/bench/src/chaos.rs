@@ -49,7 +49,7 @@
 //! flags and guest memory on Captive (any configuration) and on the QEMU
 //! baseline; `bench/tests/chaos.rs` holds the engine to that.
 
-use captive::{Captive, CaptiveConfig, RunExit};
+use captive::{Captive, CaptiveConfig, RunExit, RunStats};
 use guest_aarch64::asm::{self, Assembler};
 use guest_aarch64::isa::Cond;
 use guest_aarch64::SysReg;
@@ -484,11 +484,6 @@ pub struct ChaosOutcome {
     pub fault_injections: u64,
 }
 
-/// Engine counters captured for the same-seed determinism check; not part
-/// of the cross-engine architectural comparison (cycle counts legitimately
-/// differ between engines).
-pub type ChaosCounters = Vec<(&'static str, u64)>;
-
 const CODE_DIGEST_LEN: u64 = 16 * 1024;
 const DATA_DIGEST_LEN: u64 = 64 * 1024;
 
@@ -537,8 +532,11 @@ pub fn chaos_captive_configs() -> Vec<(&'static str, CaptiveConfig)> {
     ]
 }
 
-/// Runs the plan under Captive with the given configuration.
-pub fn run_chaos_captive(plan: &ChaosPlan, cfg: CaptiveConfig) -> (ChaosOutcome, ChaosCounters) {
+/// Runs the plan under Captive with the given configuration.  The returned
+/// statistics feed the same-seed determinism check; they are not part of
+/// the cross-engine architectural comparison (cycle counts legitimately
+/// differ between engines).
+pub fn run_chaos_captive(plan: &ChaosPlan, cfg: CaptiveConfig) -> (ChaosOutcome, RunStats) {
     let cfg = CaptiveConfig {
         virtio: Some(plan.virtio.clone()),
         ..cfg
@@ -570,48 +568,11 @@ pub fn run_chaos_captive(plan: &ChaosPlan, cfg: CaptiveConfig) -> (ChaosOutcome,
         io_errors: s.virtio_io_errors,
         fault_injections: s.virtio_fault_injections,
     };
-    let counters = vec![
-        ("cycles", s.cycles),
-        ("host_insns", s.host_insns),
-        ("guest_insns", s.guest_insns),
-        ("blocks", s.blocks),
-        ("translations", s.translations),
-        ("guest_exceptions", s.guest_exceptions),
-        ("irqs_delivered", s.irqs_delivered),
-        ("timer_irqs", s.timer_irqs),
-        ("regions_formed", s.regions_formed),
-        ("loop_regions_formed", s.loop_regions_formed),
-        ("capacity_evictions", s.capacity_evictions),
-        ("bytes_live", s.bytes_live),
-        ("regions_live", s.regions_live),
-        ("formation_failures", s.formation_failures),
-        ("regions_quarantined", s.regions_quarantined),
-        ("regions_evicted", s.regions_evicted),
-        // Tiered-service counters: deterministic because requests publish at
-        // fixed link heats and results are consumed at the (blocking) install
-        // point.  Wall-clock fields (jit_wall_ns etc.) are deliberately NOT
-        // here — they are nondeterministic by nature.
-        ("tier1_requests", s.tier1_requests),
-        ("regions_installed_async", s.regions_installed_async),
-        ("stale_discards", s.stale_discards),
-        ("reuse_hits", s.reuse_hits),
-        ("reuse_misses", s.reuse_misses),
-        // Virtio counters: completion order and payloads are fixed at kick
-        // time, so every one of these is deterministic per seed.
-        ("virtio_kicks", s.virtio_kicks),
-        ("virtio_submissions", s.virtio_submissions),
-        ("virtio_completions", s.virtio_completions),
-        ("virtio_irqs", s.virtio_irqs),
-        ("virtio_fault_injections", s.virtio_fault_injections),
-        ("virtio_dma_bytes", s.virtio_dma_bytes),
-        ("virtio_io_errors", s.virtio_io_errors),
-        ("external_invalidations", s.external_invalidations),
-    ];
-    (outcome, counters)
+    (outcome, s)
 }
 
 /// Runs the plan under the QEMU-style baseline.
-pub fn run_chaos_qemu(plan: &ChaosPlan) -> (ChaosOutcome, ChaosCounters) {
+pub fn run_chaos_qemu(plan: &ChaosPlan) -> (ChaosOutcome, RunStats) {
     let mut q = QemuRef::new(32 * 1024 * 1024);
     q.load_program(CODE_BASE, &plan.workload.words);
     q.set_entry(plan.workload.entry);
@@ -640,25 +601,7 @@ pub fn run_chaos_qemu(plan: &ChaosPlan) -> (ChaosOutcome, ChaosCounters) {
         io_errors: s.virtio_io_errors,
         fault_injections: s.virtio_fault_injections,
     };
-    let counters = vec![
-        ("cycles", s.cycles),
-        ("host_insns", s.host_insns),
-        ("guest_insns", s.guest_insns),
-        ("blocks", s.blocks),
-        ("translations", s.translations),
-        ("guest_exceptions", s.guest_exceptions),
-        ("irqs_delivered", s.irqs_delivered),
-        ("timer_irqs", s.timer_irqs),
-        ("virtio_kicks", s.virtio_kicks),
-        ("virtio_submissions", s.virtio_submissions),
-        ("virtio_completions", s.virtio_completions),
-        ("virtio_irqs", s.virtio_irqs),
-        ("virtio_fault_injections", s.virtio_fault_injections),
-        ("virtio_dma_bytes", s.virtio_dma_bytes),
-        ("virtio_io_errors", s.virtio_io_errors),
-        ("external_invalidations", s.external_invalidations),
-    ];
-    (outcome, counters)
+    (outcome, s)
 }
 
 #[cfg(test)]

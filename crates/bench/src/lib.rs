@@ -2,7 +2,7 @@
 //! and the examples: loads a guest program into Captive or the QEMU-style
 //! baseline, runs it to completion, and reports simulated-cycle statistics.
 
-use captive::{Captive, CaptiveConfig, FpMode, RunExit};
+use captive::{Captive, CaptiveConfig, FpMode, RunExit, RunStats};
 use qemu_ref::QemuRef;
 use workloads::Workload;
 
@@ -11,183 +11,13 @@ pub mod chaos;
 /// Maximum dispatched blocks per run (safety net against guest hangs).
 pub const BLOCK_BUDGET: u64 = 200_000_000;
 
-/// Result of running one guest program on one system.
-#[derive(Debug, Clone)]
-pub struct Measurement {
-    /// Simulated host cycles.
-    pub cycles: u64,
-    /// Host instructions executed.
-    pub host_insns: u64,
-    /// Guest instructions attributed.
-    pub guest_insns: u64,
-    /// Translations performed.
-    pub translations: u64,
-    /// Bytes of generated host code.
-    pub code_bytes: u64,
-    /// Wall-clock seconds spent inside the JIT (all phases).
-    pub jit_seconds: f64,
-    /// JIT phase fractions (decode, translate, regalloc, encode).
-    pub jit_fractions: (f64, f64, f64, f64),
-    /// Control transfers that followed a chain link (Captive only; 0 for the
-    /// baseline).
-    pub chained_transfers: u64,
-    /// Successor links patched lazily (Captive only).
-    pub chain_patches: u64,
-    /// Dispatcher slow-path entries (Captive only).
-    pub slow_dispatches: u64,
-    /// Fetch-side iTLB hits (Captive only).
-    pub itlb_hits: u64,
-    /// Fetch-side iTLB misses (Captive only).
-    pub itlb_misses: u64,
-    /// Data-side gTLB hits (Captive only).
-    pub dtlb_hits: u64,
-    /// Data-side gTLB misses (Captive only).
-    pub dtlb_misses: u64,
-    /// Intra-region stitched transfers (Captive with region formation only).
-    pub region_transfers: u64,
-    /// Multi-constituent regions formed (Captive only).
-    pub regions_formed: u64,
-    /// Regions formed by unrolling a loop body (Captive only).
-    pub regions_unrolled: u64,
-    /// Regions whose loop closed as an internal back-edge (Captive only).
-    pub loop_regions_formed: u64,
-    /// Back-edge transfers taken: loop trips that stayed inside one region
-    /// (Captive only).
-    pub backedge_transfers: u64,
-    /// Interpreter entries (blocks executed; chained + dispatched +
-    /// superblock entries).
-    pub blocks: u64,
-    /// Regfile stores deleted by the LIR optimiser (Captive only; static).
-    pub opt_dead_stores: u64,
-    /// Regfile loads rewritten into register moves (Captive only; static).
-    pub opt_forwarded_loads: u64,
-    /// Partial-width forwards (subset of `opt_forwarded_loads`; Captive
-    /// only; static).
-    pub opt_partial_forwarded: u64,
-    /// Register-copy uses folded by copy propagation (Captive only; static).
-    pub opt_copies_folded: u64,
-    /// LIR instructions marked dead by iterative DCE (static).
-    pub opt_dce_insns: u64,
-    /// Regfile slots promoted to loop-carried host registers (Captive only;
-    /// static).
-    pub opt_promoted_slots: u64,
-    /// In-loop regfile loads satisfied from a carrier register (Captive
-    /// only; static).
-    pub opt_hoisted_loads: u64,
-    /// Vector regfile loads forwarded, including cross-file transfers
-    /// (Captive only; static).
-    pub opt_fp_forwarded: u64,
-    /// Guest-idiom rewrites applied across all rules (Captive only; static).
-    pub opt_idioms_fused: u64,
-    /// Cross-page chained transfers (QEMU-style baseline with `goto_tb`
-    /// only; subset of `chained_transfers`).
-    pub goto_tb_transfers: u64,
-    /// Dynamic host instructions saved by elimination (eliminated LIR
-    /// instructions × block executions).
-    pub elided_dyn_insns: u64,
-    /// Guest IRQs delivered (timer + interrupt-latch lines).
-    pub irqs_delivered: u64,
-    /// Timer-originated IRQs delivered (subset of `irqs_delivered`).
-    pub timer_irqs: u64,
-    /// Regions evicted because the code cache hit its capacity bound
-    /// (Captive only; 0 for an unbounded cache).
-    pub capacity_evictions: u64,
-    /// Encoded bytes resident in the code cache at run end (Captive only).
-    pub bytes_live: u64,
-    /// Regions resident in the code cache at run end (Captive only).
-    pub regions_live: u64,
-    /// Region formations that produced nothing (Captive only).
-    pub formation_failures: u64,
-    /// Trace heads quarantined after repeated formation failures (Captive
-    /// only).
-    pub regions_quarantined: u64,
-    /// Translations abandoned by the typed lowering-error fallback.
-    pub lower_bailouts: u64,
-    /// Tier-1 formation requests published to the background service
-    /// (Captive tiered mode only).
-    pub tier1_requests: u64,
-    /// Regions installed from a background worker's result (Captive tiered
-    /// mode only).
-    pub regions_installed_async: u64,
-    /// Worker results discarded as stale at the install gate (Captive tiered
-    /// mode only).
-    pub stale_discards: u64,
-    /// Regions installed from the content-keyed reuse cache (Captive tiered
-    /// mode only).
-    pub reuse_hits: u64,
-    /// Reuse-cache lookups that found no valid template (Captive tiered mode
-    /// only).
-    pub reuse_misses: u64,
-    /// JIT wall-clock the run thread actually stalled on, in nanoseconds
-    /// (tier-0 translation + snapshot capture + result waits + inline
-    /// formation).  Wall time, NOT modeled cycles.
-    pub jit_wall_ns: u64,
-    /// Wall-clock spent inside tier-1 workers, in nanoseconds (runs hidden
-    /// behind execution).
-    pub tier_worker_wall_ns: u64,
-    /// Nanoseconds from engine construction to the first region install
-    /// (0 when no region was installed).
-    pub first_region_install_ns: u64,
-    /// String-keyed counters that don't warrant a dedicated field: per-rule
-    /// idiom hit/candidate counts (`idiom.hit.<rule>`, `idiom.cand.<rule>`)
-    /// today, anything cheap-to-name tomorrow.  Serialized by the `figures`
-    /// binary as a `"counters"` JSON object per record.
-    pub counters: Vec<(String, u64)>,
-}
-
-impl Measurement {
-    /// Fetch iTLB hit rate in [0, 1]; 1.0 when there were no fetches (same
-    /// empty-denominator convention as [`hvm::PerfCounters::tlb_hit_rate`]).
-    pub fn itlb_hit_rate(&self) -> f64 {
-        let total = self.itlb_hits + self.itlb_misses;
-        if total == 0 {
-            1.0
-        } else {
-            self.itlb_hits as f64 / total as f64
-        }
-    }
-
-    /// Looks up a string-keyed counter; 0 when the key was never recorded.
-    pub fn counter(&self, key: &str) -> u64 {
-        self.counters
-            .iter()
-            .find(|(k, _)| k == key)
-            .map_or(0, |(_, v)| *v)
-    }
-}
-
-/// The `virtio.*` string-keyed counters of a run, read from the same-named
-/// fields of Captive's [`captive::RunStats`] or the baseline's
-/// [`qemu_ref::RunStats`]; empty when the run never touched the device.
-macro_rules! virtio_counters {
-    ($s:expr) => {{
-        let s = &$s;
-        let mut out: Vec<(String, u64)> = Vec::new();
-        if s.virtio_kicks > 0 || s.external_invalidations > 0 {
-            for (name, n) in [
-                ("kicks", s.virtio_kicks),
-                ("submissions", s.virtio_submissions),
-                ("completions", s.virtio_completions),
-                ("irqs", s.virtio_irqs),
-                ("fault_injections", s.virtio_fault_injections),
-                ("dma_bytes", s.virtio_dma_bytes),
-                ("io_errors", s.virtio_io_errors),
-                ("external_invalidations", s.external_invalidations),
-            ] {
-                out.push((format!("virtio.{name}"), n));
-            }
-        }
-        out
-    }};
-}
-
 /// Runs a workload under Captive (hardware FP, chaining on).
-pub fn run_captive(w: &Workload) -> Measurement {
+pub fn run_captive(w: &Workload) -> RunStats {
     run_captive_with(w, FpMode::Hardware, false)
 }
 
 /// Runs a workload under Captive with explicit FP mode / per-block stats.
-pub fn run_captive_with(w: &Workload, fp: FpMode, per_block: bool) -> Measurement {
+pub fn run_captive_with(w: &Workload, fp: FpMode, per_block: bool) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -203,7 +33,7 @@ pub fn run_captive_with(w: &Workload, fp: FpMode, per_block: bool) -> Measuremen
 /// Region formation is pinned off: this entry point measures *chaining
 /// alone*, and the chaining-gap equality checks (tests and `figures --
 /// chaining`) pin chain-only cycle accounting.
-pub fn run_captive_chaining(w: &Workload, chaining: bool) -> Measurement {
+pub fn run_captive_chaining(w: &Workload, chaining: bool) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -218,7 +48,7 @@ pub fn run_captive_chaining(w: &Workload, chaining: bool) -> Measurement {
 /// on or off (everything else default).  Modeled cycles are identical either
 /// way; the wall-clock fields (`jit_wall_ns`, `tier_worker_wall_ns`) are what
 /// differ — this is the `figures -- tiers` comparison pair.
-pub fn run_captive_tiered(w: &Workload, tiered: bool) -> Measurement {
+pub fn run_captive_tiered(w: &Workload, tiered: bool) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -231,10 +61,7 @@ pub fn run_captive_tiered(w: &Workload, tiered: bool) -> Measurement {
 /// Same as [`run_captive_tiered`] with a shared content-keyed reuse cache,
 /// for repeated-image sweeps where later runs should hit templates published
 /// by earlier ones.
-pub fn run_captive_tiered_reuse(
-    w: &Workload,
-    reuse: &std::sync::Arc<dbt::ReuseCache>,
-) -> Measurement {
+pub fn run_captive_tiered_reuse(w: &Workload, reuse: &std::sync::Arc<dbt::ReuseCache>) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -259,7 +86,7 @@ fn ablation_base() -> CaptiveConfig {
 
 /// Runs a workload under Captive with the LIR optimiser forced on or off
 /// (everything else default: chaining and regions on).
-pub fn run_captive_opt(w: &Workload, opt: bool) -> Measurement {
+pub fn run_captive_opt(w: &Workload, opt: bool) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -270,7 +97,7 @@ pub fn run_captive_opt(w: &Workload, opt: bool) -> Measurement {
 }
 
 /// Runs a workload under Captive with chaining plus region formation.
-pub fn run_captive_regions(w: &Workload) -> Measurement {
+pub fn run_captive_regions(w: &Workload) -> RunStats {
     run_captive_cfg(w, ablation_base())
 }
 
@@ -278,7 +105,7 @@ pub fn run_captive_regions(w: &Workload) -> Measurement {
 /// formation and unrolling on) and loop promotion pinned OFF, so this entry
 /// point isolates the back-edge-closing machinery; the promotion comparison
 /// lives in [`run_captive_promote`].
-pub fn run_captive_loops(w: &Workload) -> Measurement {
+pub fn run_captive_loops(w: &Workload) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -291,7 +118,7 @@ pub fn run_captive_loops(w: &Workload) -> Measurement {
 /// Runs a workload under Captive with loop-carried register promotion forced
 /// on or off; everything else default (chaining, regions, looping regions and
 /// unrolling on) — the `figures -- promote` comparison pair.
-pub fn run_captive_promote(w: &Workload, promote: bool) -> Measurement {
+pub fn run_captive_promote(w: &Workload, promote: bool) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -303,7 +130,7 @@ pub fn run_captive_promote(w: &Workload, promote: bool) -> Measurement {
 
 /// Runs a workload under Captive with the guest-idiom layer forced on or
 /// off (everything else default) — the `figures -- idioms` comparison pair.
-pub fn run_captive_idioms(w: &Workload, idioms: bool) -> Measurement {
+pub fn run_captive_idioms(w: &Workload, idioms: bool) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -317,7 +144,7 @@ pub fn run_captive_idioms(w: &Workload, idioms: bool) -> Measurement {
 /// nothing rewritten), mine a [`dbt::RuleTable`] from the hot-region
 /// profiles, then re-run with the mined table applied.  Returns
 /// `(observe, mined, table)`.
-pub fn run_captive_idioms_mined(w: &Workload) -> (Measurement, Measurement, dbt::RuleTable) {
+pub fn run_captive_idioms_mined(w: &Workload) -> (RunStats, RunStats, dbt::RuleTable) {
     let mut observer = Captive::new(ablation_base());
     observer.set_idiom_rules(dbt::RuleTable::observe_only());
     let observe = drive_captive(w, &mut observer);
@@ -329,15 +156,15 @@ pub fn run_captive_idioms_mined(w: &Workload) -> (Measurement, Measurement, dbt:
 }
 
 /// Runs a workload under Captive with a fully explicit configuration.
-pub fn run_captive_cfg(w: &Workload, cfg: CaptiveConfig) -> Measurement {
+pub fn run_captive_cfg(w: &Workload, cfg: CaptiveConfig) -> RunStats {
     let mut c = Captive::new(cfg);
     drive_captive(w, &mut c)
 }
 
-/// Loads, runs to the halt and extracts a [`Measurement`] from an already
+/// Loads, runs to the halt and returns the statistics of an already
 /// constructed engine (so callers can pre-seat a rule table or inspect the
 /// engine afterwards).
-fn drive_captive(w: &Workload, c: &mut Captive) -> Measurement {
+pub fn drive_captive(w: &Workload, c: &mut Captive) -> RunStats {
     c.load_program(workloads::CODE_BASE, &w.words);
     c.set_entry(w.entry);
     let exit = c.run(BLOCK_BUDGET);
@@ -346,86 +173,29 @@ fn drive_captive(w: &Workload, c: &mut Captive) -> Measurement {
         "{}: unexpected exit {exit:?}",
         w.name
     );
-    let s = c.stats();
-    let mut counters: Vec<(String, u64)> = Vec::new();
-    for (name, n) in &s.idiom_hits {
-        counters.push((format!("idiom.hit.{name}"), *n));
-    }
-    for (name, n) in &s.idiom_candidates {
-        counters.push((format!("idiom.cand.{name}"), *n));
-    }
-    counters.extend(virtio_counters!(s));
-    Measurement {
-        cycles: s.cycles,
-        host_insns: s.host_insns,
-        guest_insns: s.guest_insns,
-        translations: s.translations,
-        code_bytes: s.code_bytes,
-        jit_seconds: c.timers.total().as_secs_f64(),
-        jit_fractions: c.timers.fractions(),
-        chained_transfers: s.chained_transfers,
-        chain_patches: s.chain_patches,
-        slow_dispatches: s.slow_dispatches,
-        itlb_hits: s.itlb_hits,
-        itlb_misses: s.itlb_misses,
-        dtlb_hits: s.dtlb_hits,
-        dtlb_misses: s.dtlb_misses,
-        region_transfers: s.region_transfers,
-        regions_formed: s.regions_formed,
-        regions_unrolled: s.regions_unrolled,
-        loop_regions_formed: s.loop_regions_formed,
-        backedge_transfers: s.backedge_transfers,
-        blocks: s.blocks,
-        opt_dead_stores: s.opt_dead_stores,
-        opt_forwarded_loads: s.opt_forwarded_loads,
-        opt_partial_forwarded: s.opt_partial_forwarded,
-        opt_copies_folded: s.opt_copies_folded,
-        opt_dce_insns: s.opt_dce_insns,
-        opt_promoted_slots: s.opt_promoted_slots,
-        opt_hoisted_loads: s.opt_hoisted_loads,
-        opt_fp_forwarded: s.opt_fp_forwarded,
-        opt_idioms_fused: s.opt_idioms_fused,
-        goto_tb_transfers: 0,
-        elided_dyn_insns: s.elided_dyn_insns,
-        irqs_delivered: s.irqs_delivered,
-        timer_irqs: s.timer_irqs,
-        capacity_evictions: s.capacity_evictions,
-        bytes_live: s.bytes_live,
-        regions_live: s.regions_live,
-        formation_failures: s.formation_failures,
-        regions_quarantined: s.regions_quarantined,
-        lower_bailouts: c.timers.lower_bailouts,
-        tier1_requests: s.tier1_requests,
-        regions_installed_async: s.regions_installed_async,
-        stale_discards: s.stale_discards,
-        reuse_hits: s.reuse_hits,
-        reuse_misses: s.reuse_misses,
-        jit_wall_ns: s.jit_wall_ns,
-        tier_worker_wall_ns: s.tier_worker_wall_ns,
-        first_region_install_ns: s.first_region_install_ns,
-        counters,
-    }
+    c.stats()
 }
 
 /// Runs a workload under the QEMU-style baseline (no chaining).
-pub fn run_qemu(w: &Workload) -> Measurement {
+pub fn run_qemu(w: &Workload) -> RunStats {
     run_qemu_chaining(w, false)
 }
 
 /// Runs a workload under the QEMU-style baseline with same-page chaining
 /// configured explicitly (the tightened baseline of real QEMU).
-pub fn run_qemu_chaining(w: &Workload, chaining: bool) -> Measurement {
-    run_qemu_prepared(w, QemuRef::with_chaining(32 * 1024 * 1024, chaining))
+pub fn run_qemu_chaining(w: &Workload, chaining: bool) -> RunStats {
+    drive_qemu(w, &mut QemuRef::with_chaining(32 * 1024 * 1024, chaining))
 }
 
 /// Runs a workload under the strongest honest baseline: same-page chaining
 /// plus TCG-style `goto_tb` cross-page linking.  The `figures -- promote`
 /// headline speedups are measured against this configuration.
-pub fn run_qemu_goto_tb(w: &Workload) -> Measurement {
-    run_qemu_prepared(w, QemuRef::with_goto_tb(32 * 1024 * 1024))
+pub fn run_qemu_goto_tb(w: &Workload) -> RunStats {
+    drive_qemu(w, &mut QemuRef::with_goto_tb(32 * 1024 * 1024))
 }
 
-fn run_qemu_prepared(w: &Workload, mut q: QemuRef) -> Measurement {
+/// The baseline counterpart of [`drive_captive`].
+pub fn drive_qemu(w: &Workload, q: &mut QemuRef) -> RunStats {
     q.load_program(workloads::CODE_BASE, &w.words);
     q.set_entry(w.entry);
     let exit = q.run(BLOCK_BUDGET);
@@ -434,63 +204,12 @@ fn run_qemu_prepared(w: &Workload, mut q: QemuRef) -> Measurement {
         "{}: unexpected exit {exit:?}",
         w.name
     );
-    let s = q.stats();
-    let counters = virtio_counters!(s);
-    Measurement {
-        cycles: s.cycles,
-        host_insns: s.host_insns,
-        guest_insns: s.guest_insns,
-        translations: s.translations,
-        code_bytes: s.code_bytes,
-        jit_seconds: q.timers.total().as_secs_f64(),
-        jit_fractions: q.timers.fractions(),
-        chained_transfers: s.chained_transfers,
-        chain_patches: s.chain_patches,
-        slow_dispatches: s.blocks - s.chained_transfers,
-        itlb_hits: 0,
-        itlb_misses: 0,
-        dtlb_hits: 0,
-        dtlb_misses: 0,
-        region_transfers: 0,
-        regions_formed: 0,
-        regions_unrolled: 0,
-        loop_regions_formed: 0,
-        backedge_transfers: 0,
-        blocks: s.blocks,
-        opt_dead_stores: 0,
-        opt_forwarded_loads: 0,
-        opt_partial_forwarded: 0,
-        opt_copies_folded: 0,
-        opt_dce_insns: q.timers.opt_dce_insns,
-        opt_promoted_slots: 0,
-        opt_hoisted_loads: 0,
-        opt_fp_forwarded: 0,
-        opt_idioms_fused: 0,
-        goto_tb_transfers: s.goto_tb_transfers,
-        elided_dyn_insns: 0,
-        irqs_delivered: s.irqs_delivered,
-        timer_irqs: s.timer_irqs,
-        capacity_evictions: 0,
-        bytes_live: 0,
-        regions_live: 0,
-        formation_failures: 0,
-        regions_quarantined: 0,
-        lower_bailouts: q.timers.lower_bailouts,
-        tier1_requests: 0,
-        regions_installed_async: 0,
-        stale_discards: 0,
-        reuse_hits: 0,
-        reuse_misses: 0,
-        jit_wall_ns: 0,
-        tier_worker_wall_ns: 0,
-        first_region_install_ns: 0,
-        counters,
-    }
+    q.stats()
 }
 
 /// Runs a workload under Captive with a virtio-blk device attached on top
 /// of an arbitrary engine configuration.
-pub fn run_captive_io(w: &Workload, vcfg: hvm::VirtioBlkConfig, cfg: CaptiveConfig) -> Measurement {
+pub fn run_captive_io(w: &Workload, vcfg: hvm::VirtioBlkConfig, cfg: CaptiveConfig) -> RunStats {
     run_captive_cfg(
         w,
         CaptiveConfig {
@@ -502,10 +221,10 @@ pub fn run_captive_io(w: &Workload, vcfg: hvm::VirtioBlkConfig, cfg: CaptiveConf
 
 /// Runs a workload under the QEMU-style baseline with a virtio-blk device
 /// attached (plain non-chaining configuration, like [`run_qemu`]).
-pub fn run_qemu_io(w: &Workload, vcfg: hvm::VirtioBlkConfig) -> Measurement {
+pub fn run_qemu_io(w: &Workload, vcfg: hvm::VirtioBlkConfig) -> RunStats {
     let mut q = QemuRef::new(32 * 1024 * 1024);
     q.attach_virtio(vcfg);
-    run_qemu_prepared(w, q)
+    drive_qemu(w, &mut q)
 }
 
 /// Wraps a SimBench micro-benchmark as a [`Workload`] so it can go through

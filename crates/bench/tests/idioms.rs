@@ -52,11 +52,14 @@ fn run_qemu(words: &[u32]) -> QemuRef {
 
 /// Per-rule fusion count from a finished run.
 fn hits(c: &mut Captive, rule: &str) -> u64 {
-    c.stats()
-        .idiom_hits
-        .iter()
-        .find(|(n, _)| n == rule)
-        .map_or(0, |(_, v)| *v)
+    c.stats().idiom_hits[rule_index(rule)]
+}
+
+/// Stats-array index of a shipped rule, by name.
+fn rule_index(rule: &str) -> usize {
+    dbt::RuleKind::from_name(rule)
+        .expect("shipped rule")
+        .index()
 }
 
 /// Full architectural comparison: 31 registers, NZCV, and the data region.
@@ -343,12 +346,7 @@ fn carry_condition_on_logic_producer_suppresses_fusion() {
             0,
             "{rule}: an ands+b.hi site must refuse fusion"
         );
-        let cands = on
-            .stats()
-            .idiom_candidates
-            .iter()
-            .find(|(n, _)| n == rule)
-            .map_or(0, |(_, v)| *v);
+        let cands = on.stats().idiom_candidates[rule_index(rule)];
         assert_eq!(
             cands, 0,
             "{rule}: the unclassifiable site must not count as a candidate"

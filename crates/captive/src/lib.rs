@@ -68,6 +68,7 @@
 pub mod itlb;
 pub mod layout;
 pub mod runtime;
+pub mod stats;
 pub mod tier;
 pub mod translator;
 
@@ -79,6 +80,7 @@ use dbt::{
 use guest_aarch64::Aarch64Isa;
 use hvm::{ExitReason, Gpr, Machine, MachineConfig, Ring};
 use runtime::{CaptiveRuntime, GuestEvent};
+pub use stats::RunStats;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -221,161 +223,6 @@ pub enum RunExit {
     BudgetExhausted,
     /// Something went wrong in the execution engine.
     Error(String),
-}
-
-/// Aggregate statistics of a run.
-///
-/// Concurrency audit: every field here is owned and written by the run
-/// thread only — tier-1 workers report through [`tier::FormationResult`]
-/// messages and never touch shared counters — so plain `u64`s are sound.
-/// The shared-state counters (code-cache lookups, evictions, epochs) live in
-/// [`CodeCache`] as atomics and are *sampled* into this struct by
-/// [`Captive::stats`].
-#[derive(Debug, Clone, Default)]
-pub struct RunStats {
-    /// Simulated host cycles consumed by guest execution.
-    pub cycles: u64,
-    /// Host instructions executed.
-    pub host_insns: u64,
-    /// Guest instructions attributed (blocks entered × block length).
-    pub guest_insns: u64,
-    /// Blocks executed (chained and dispatched).
-    pub blocks: u64,
-    /// Translations performed.
-    pub translations: u64,
-    /// Guest exceptions delivered.
-    pub guest_exceptions: u64,
-    /// Bytes of host code generated.
-    pub code_bytes: u64,
-    /// Blocks entered through the dispatcher slow path (page resolution +
-    /// cache lookup + EL read).
-    pub slow_dispatches: u64,
-    /// Control transfers that followed a patched chain link, bypassing the
-    /// dispatcher.
-    pub chained_transfers: u64,
-    /// Successor links patched (lazy chain resolutions).
-    pub chain_patches: u64,
-    /// Fetch-side iTLB hits (instruction fetches resolved without a guest
-    /// page-table walk).
-    pub itlb_hits: u64,
-    /// Fetch-side iTLB misses.
-    pub itlb_misses: u64,
-    /// Data-side gTLB hits (host data faults whose guest walk was answered
-    /// from the cache).
-    pub dtlb_hits: u64,
-    /// Data-side gTLB misses (host data faults that walked guest tables).
-    pub dtlb_misses: u64,
-    /// Intra-region constituent transfers: stitched block boundaries crossed
-    /// without an interpreter entry (each would have been a chained transfer
-    /// under chaining alone).
-    pub region_transfers: u64,
-    /// Multi-constituent regions formed from hot chain paths.
-    pub regions_formed: u64,
-    /// Regions formed by unrolling a loop body — single- or multi-block
-    /// (subset of `regions_formed`).
-    pub regions_unrolled: u64,
-    /// Regions whose loop closed as a region-internal back-edge (subset of
-    /// `regions_formed`): these iterate inside translated code.
-    pub loop_regions_formed: u64,
-    /// Back-edge transfers taken: loop trips that stayed inside one region
-    /// (each would have been at least a chained transfer, usually several,
-    /// without looping regions).
-    pub backedge_transfers: u64,
-    /// Interpreter entries that executed a multi-constituent region (subset
-    /// of `blocks`).
-    pub region_entries: u64,
-    /// Stale-generation regions evicted by the context-generation sweep.
-    pub regions_evicted: u64,
-    /// Regfile stores deleted by the LIR optimiser across all translations
-    /// (static count).
-    pub opt_dead_stores: u64,
-    /// Regfile loads the optimiser rewrote into register moves (static).
-    pub opt_forwarded_loads: u64,
-    /// Partial-width forwards (subset of `opt_forwarded_loads`): 32-bit
-    /// loads satisfied by the low half of a 64-bit store (static).
-    pub opt_partial_forwarded: u64,
-    /// Register-copy uses folded by the optimiser's copy propagation
-    /// (static).
-    pub opt_copies_folded: u64,
-    /// LIR instructions marked dead by the allocator's iterative DCE
-    /// (static).
-    pub opt_dce_insns: u64,
-    /// Register-file slots promoted to loop-carried host registers (static).
-    pub opt_promoted_slots: u64,
-    /// In-loop regfile loads satisfied from a carrier register instead of a
-    /// memory round-trip (static).
-    pub opt_hoisted_loads: u64,
-    /// Vector (XMM) regfile loads forwarded from earlier vector values,
-    /// including cross-file GPR↔XMM transfers (static).
-    pub opt_fp_forwarded: u64,
-    /// Guest-idiom rewrites applied across all translations (static total
-    /// over every rule; see [`dbt::idiom`]).
-    pub opt_idioms_fused: u64,
-    /// Per-rule idiom rewrites applied, keyed by rule name (static).
-    pub idiom_hits: Vec<(String, u64)>,
-    /// Per-rule idiom candidate sites — matched and proven sound whether or
-    /// not the rule was enabled; the rule miner's input (static).
-    pub idiom_candidates: Vec<(String, u64)>,
-    /// Dynamic host instructions saved: per block entry, the LIR
-    /// instructions eliminated from that translation before encoding.
-    pub elided_dyn_insns: u64,
-    /// Asynchronous IRQs delivered (subset of `guest_exceptions`).
-    pub irqs_delivered: u64,
-    /// Timer-originated IRQs delivered (subset of `irqs_delivered`).
-    pub timer_irqs: u64,
-    /// Regions evicted because the cache hit its capacity bound.
-    pub capacity_evictions: u64,
-    /// Encoded bytes currently resident in the code cache.
-    pub bytes_live: u64,
-    /// Regions currently resident in the code cache.
-    pub regions_live: u64,
-    /// Region-formation attempts that produced no multi-constituent region
-    /// (trace too short, or translation bailed out).
-    pub formation_failures: u64,
-    /// Trace heads permanently quarantined after repeated formation
-    /// failures (no further attempts are made for them).
-    pub regions_quarantined: u64,
-    /// Tier-1 formation requests published to the background service.
-    pub tier1_requests: u64,
-    /// Regions formed by a background worker and installed after
-    /// revalidation (subset of `regions_formed`).
-    pub regions_installed_async: u64,
-    /// Worker-formed regions discarded at the install gate: formed against
-    /// a stale context generation or a since-patched page.
-    pub stale_discards: u64,
-    /// Regions installed from the content-keyed reuse cache without any
-    /// formation work (subset of `regions_formed`).
-    pub reuse_hits: u64,
-    /// Reuse-cache lookups that found no validated template.
-    pub reuse_misses: u64,
-    /// JIT wall-clock the run thread blocked on, in nanoseconds: tier-0
-    /// translation, snapshot capture, waits for in-flight results, and
-    /// inline formation (wall time, NOT modeled cycles — excluded from
-    /// determinism comparisons).
-    pub jit_wall_ns: u64,
-    /// Wall-clock spent inside tier-1 workers, in nanoseconds (runs hidden
-    /// behind tier-0 execution).
-    pub tier_worker_wall_ns: u64,
-    /// Nanoseconds from engine construction to the first gated-region
-    /// install (0 when none was installed).
-    pub first_region_install_ns: u64,
-    /// Virtio queue notifications (`msr VblkNotify`) the device received.
-    pub virtio_kicks: u64,
-    /// Virtio requests submitted (available-ring entries consumed).
-    pub virtio_submissions: u64,
-    /// Virtio completions retired (used-ring entries written).
-    pub virtio_completions: u64,
-    /// IRQs the virtio device raised on its latch line.
-    pub virtio_irqs: u64,
-    /// Requests whose seeded fault decision was not `None`.
-    pub virtio_fault_injections: u64,
-    /// Bytes DMA'd into guest memory through the external-store path.
-    pub virtio_dma_bytes: u64,
-    /// Completions retired with a non-OK status (typed device errors).
-    pub virtio_io_errors: u64,
-    /// DMA completion stores that invalidated live translations
-    /// (device-originated external SMC).
-    pub external_invalidations: u64,
 }
 
 /// The hypervisor.
@@ -607,9 +454,10 @@ impl Captive {
         s.itlb_misses = self.runtime.fetch_tlb.misses;
         s.dtlb_hits = self.runtime.data_tlb.hits;
         s.dtlb_misses = self.runtime.data_tlb.misses;
-        s.region_transfers = self.machine.perf.superblock_transfers;
+        s.region_transfers = self.machine.perf.region_transfers;
         s.backedge_transfers = self.machine.perf.backedge_transfers;
-        s.regions_evicted = self.cache.stats().evicted_stale_regions;
+        let cs = self.cache.stats();
+        s.regions_evicted = cs.evicted_stale_regions;
         s.opt_dead_stores = self.timers.opt_dead_stores;
         s.opt_forwarded_loads = self.timers.opt_forwarded_loads;
         s.opt_partial_forwarded = self.timers.opt_partial_forwarded;
@@ -619,23 +467,12 @@ impl Captive {
         s.opt_hoisted_loads = self.timers.opt_hoisted_loads;
         s.opt_fp_forwarded = self.timers.opt_fp_forwarded;
         s.opt_idioms_fused = self.timers.opt_idioms_fused;
-        s.idiom_hits = RuleKind::ALL
-            .iter()
-            .map(|k| (k.name().to_string(), self.timers.idiom_hits[k.index()]))
-            .collect();
-        s.idiom_candidates = RuleKind::ALL
-            .iter()
-            .map(|k| {
-                (
-                    k.name().to_string(),
-                    self.timers.idiom_candidates[k.index()],
-                )
-            })
-            .collect();
+        s.idiom_hits = self.timers.idiom_hits;
+        s.idiom_candidates = self.timers.idiom_candidates;
+        s.lower_bailouts = self.timers.lower_bailouts;
         s.elided_dyn_insns = self.machine.perf.elided_insns;
         s.irqs_delivered = self.runtime.events.delivered;
         s.timer_irqs = self.runtime.events.timer_delivered;
-        let cs = self.cache.stats();
         s.capacity_evictions = cs.capacity_evictions;
         s.bytes_live = cs.bytes_live;
         s.regions_live = cs.regions_live;
@@ -645,16 +482,10 @@ impl Captive {
             .tier_timers
             .first_install
             .map_or(0, |d| d.as_nanos() as u64);
-        if let Some(dev) = &self.runtime.virtio {
-            s.virtio_kicks = dev.stats.kicks;
-            s.virtio_submissions = dev.stats.submissions;
-            s.virtio_completions = dev.stats.completions;
-            s.virtio_irqs = dev.stats.irqs_raised;
-            s.virtio_fault_injections = dev.stats.fault_injections;
-            s.virtio_dma_bytes = dev.stats.dma_bytes;
-            s.virtio_io_errors = dev.stats.io_errors;
-        }
-        s.external_invalidations = self.runtime.external_invalidations;
+        s.sample_virtio(
+            self.runtime.virtio.as_ref(),
+            self.runtime.external_invalidations,
+        );
         s
     }
 
@@ -1904,7 +1735,7 @@ mod tests {
             soff.cycles
         );
         assert_eq!(
-            son.region_transfers, on.machine.perf.superblock_transfers,
+            son.region_transfers, on.machine.perf.region_transfers,
             "hypervisor- and machine-level counters agree"
         );
     }

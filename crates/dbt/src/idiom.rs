@@ -136,21 +136,44 @@ impl RuleKind {
         }
     }
 
-    /// Stable external name (serialisation, figures, counters).
-    pub fn name(self) -> &'static str {
-        match self {
-            RuleKind::FuseCmpBr => "fuse.cmpbr",
-            RuleKind::FuseTstBr => "fuse.tstbr",
-            RuleKind::FuseCbz => "fuse.cbz",
-            RuleKind::AddrFold => "addr.fold",
-            RuleKind::BulkMemset => "bulk.memset",
-        }
-    }
-
     /// Inverse of [`RuleKind::name`].
     pub fn from_name(s: &str) -> Option<RuleKind> {
         RuleKind::ALL.into_iter().find(|k| k.name() == s)
     }
+}
+
+/// Declares each rule's external name once and derives its run-statistics
+/// counter names from it.
+macro_rules! rule_names {
+    ($($kind:ident => $name:literal,)*) => {
+        impl RuleKind {
+            /// Stable external name (serialisation, figures, counters).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(RuleKind::$kind => $name,)*
+                }
+            }
+
+            /// The rule's run-statistics counter names: rewrites applied
+            /// (`idiom.hit.<name>`) and candidate sites (`idiom.cand.<name>`).
+            pub fn counter_names(self) -> [&'static str; 2] {
+                match self {
+                    $(RuleKind::$kind => [
+                        concat!("idiom.hit.", $name),
+                        concat!("idiom.cand.", $name),
+                    ],)*
+                }
+            }
+        }
+    };
+}
+
+rule_names! {
+    FuseCmpBr => "fuse.cmpbr",
+    FuseTstBr => "fuse.tstbr",
+    FuseCbz => "fuse.cbz",
+    AddrFold => "addr.fold",
+    BulkMemset => "bulk.memset",
 }
 
 /// One table entry: a rule, whether it rewrites, and its mined weight

@@ -273,7 +273,7 @@ fn mark_dead(lir: &[LirInsn], vregs: usize, labels: usize) -> Vec<bool> {
 /// Conservative host-flag liveness for the idiom recognizer: `out[i]` is
 /// `true` when some instruction that may execute after instruction `i`
 /// reads the host flags (`SetCc`/`CmovCc`/`Jcc`) before any instruction
-/// overwrites them.  The bookkeeping mirrors [`mark_dead`]'s flag demand
+/// overwrites them.  The bookkeeping mirrors `mark_dead`'s flag demand
 /// exactly — `Jmp` replaces the linear state with its target label's,
 /// `BackEdge` does too (unioning when `reconcile` falls through into a
 /// compensation block), `Jcc` unions, `Ret` clears — but every instruction

@@ -56,10 +56,10 @@ pub struct CostModel {
     /// Entering a block through a patched direct chain link: a single jump
     /// between translations, with no dispatcher involvement (Section 2.6).
     pub chain: u64,
-    /// Passing from one stitched constituent of a superblock to the next:
+    /// Passing from one stitched constituent of a region to the next:
     /// internal fallthrough inside one translation — at most as cheap as a
     /// chained transfer, since not even an inter-translation jump is needed.
-    pub superblock_transfer: u64,
+    pub region_transfer: u64,
     /// A region-internal backward transfer (the loop-back edge of a looping
     /// region): a single predicted-taken branch inside one translation, with
     /// the guest PC update folded into the jump.  At most as expensive as a
@@ -96,7 +96,7 @@ impl Default for CostModel {
             port_io: 60,
             dispatch: 12,
             chain: 1,
-            superblock_transfer: 1,
+            region_transfer: 1,
             backedge: 1,
         }
     }
@@ -154,7 +154,7 @@ impl CostModel {
                 self.tlb_flush
             }
             MachInsn::Hlt => self.alu,
-            MachInsn::TraceEdge => self.superblock_transfer,
+            MachInsn::TraceEdge => self.region_transfer,
             MachInsn::BackEdge { .. } => self.backedge,
         }
     }
@@ -180,8 +180,8 @@ mod tests {
             "chained transfers must be cheaper than dispatches"
         );
         assert!(
-            c.superblock_transfer <= c.chain,
-            "intra-superblock transfers must not exceed the chain cost"
+            c.region_transfer <= c.chain,
+            "intra-region transfers must not exceed the chain cost"
         );
         assert!(
             c.backedge <= c.chain,

@@ -470,10 +470,10 @@ pub enum MachInsn {
     Invlpg { addr: Gpr },
     /// Halt the machine (ring 0 only) — used by the execution engine to stop.
     Hlt,
-    /// Pseudo-instruction marking an intra-superblock constituent boundary:
+    /// Pseudo-instruction marking an intra-region constituent boundary:
     /// control passed from one stitched guest basic block to the next without
-    /// returning to the dispatcher.  Costs [`crate::CostModel::superblock_transfer`]
-    /// and bumps [`crate::PerfCounters::superblock_transfers`].
+    /// returning to the dispatcher.  Costs [`crate::CostModel::region_transfer`]
+    /// and bumps [`crate::PerfCounters::region_transfers`].
     TraceEdge,
     /// A region-internal backward transfer: sets the guest PC (`%r15`) to
     /// `pc` and jumps `target` instructions backward within the same

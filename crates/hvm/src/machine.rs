@@ -1097,7 +1097,7 @@ impl Machine {
                     return ExitReason::Halted;
                 }
                 MachInsn::TraceEdge => {
-                    self.perf.superblock_transfers += 1;
+                    self.perf.region_transfers += 1;
                 }
                 MachInsn::BackEdge {
                     pc: header,

@@ -35,10 +35,10 @@ pub struct PerfCounters {
     /// Blocks entered through a direct chain link (subset of
     /// `blocks_entered`; these paid the chain cost, not the dispatch cost).
     pub chained_entries: u64,
-    /// Intra-superblock constituent transfers: stitched block boundaries
+    /// Intra-region constituent transfers: stitched block boundaries
     /// crossed without returning to the dispatcher (each one is an
     /// interpreter entry that chaining alone would have paid for).
-    pub superblock_transfers: u64,
+    pub region_transfers: u64,
     /// Region-internal backward transfers: loop-back edges taken inside one
     /// translation (each one is a whole loop trip that chaining alone would
     /// have re-entered the interpreter for).
@@ -83,9 +83,9 @@ impl PerfCounters {
             port_ios: self.port_ios.saturating_sub(earlier.port_ios),
             blocks_entered: self.blocks_entered.saturating_sub(earlier.blocks_entered),
             chained_entries: self.chained_entries.saturating_sub(earlier.chained_entries),
-            superblock_transfers: self
-                .superblock_transfers
-                .saturating_sub(earlier.superblock_transfers),
+            region_transfers: self
+                .region_transfers
+                .saturating_sub(earlier.region_transfers),
             backedge_transfers: self
                 .backedge_transfers
                 .saturating_sub(earlier.backedge_transfers),

@@ -74,53 +74,9 @@ pub enum RunExit {
     Error(String),
 }
 
-/// Aggregate run statistics.
-#[derive(Debug, Clone, Default)]
-pub struct RunStats {
-    /// Simulated cycles.
-    pub cycles: u64,
-    /// Host instructions executed.
-    pub host_insns: u64,
-    /// Guest instructions attributed.
-    pub guest_insns: u64,
-    /// Blocks executed (dispatched and chained).
-    pub blocks: u64,
-    /// Translations performed.
-    pub translations: u64,
-    /// Bytes of host code generated.
-    pub code_bytes: u64,
-    /// Same-page chained transfers (0 unless `qemu_chaining` is enabled).
-    pub chained_transfers: u64,
-    /// Cross-page chained transfers (subset of `chained_transfers`; 0 unless
-    /// `goto_tb` is enabled).
-    pub goto_tb_transfers: u64,
-    /// Successor links patched lazily.
-    pub chain_patches: u64,
-    /// Guest exceptions delivered (synchronous + asynchronous).
-    pub guest_exceptions: u64,
-    /// Asynchronous IRQs delivered (subset of `guest_exceptions`).
-    pub irqs_delivered: u64,
-    /// Timer-originated IRQs delivered (subset of `irqs_delivered`).
-    pub timer_irqs: u64,
-    /// Virtio queue notifications (doorbell writes) observed.
-    pub virtio_kicks: u64,
-    /// Virtio requests accepted off the available ring.
-    pub virtio_submissions: u64,
-    /// Virtio completions retired to the used ring.
-    pub virtio_completions: u64,
-    /// Completion interrupts the device raised.
-    pub virtio_irqs: u64,
-    /// Faults the seeded plan injected.
-    pub virtio_fault_injections: u64,
-    /// Bytes moved by device DMA (both directions).
-    pub virtio_dma_bytes: u64,
-    /// Requests completed with a non-OK status.
-    pub virtio_io_errors: u64,
-    /// Full-cache flushes forced by device DMA landing behind the
-    /// translator's back (the virtually-indexed analogue of Captive's
-    /// per-page external invalidations).
-    pub external_invalidations: u64,
-}
+/// The run-statistics record, shared with Captive so both engines report
+/// the same counters by the same names.
+pub use captive::RunStats;
 
 /// The QEMU-style runtime: software TLB, softfloat state, console.
 pub struct QemuRuntime {
@@ -646,16 +602,15 @@ impl QemuRef {
         s.cycles = self.machine.perf.cycles;
         s.host_insns = self.machine.perf.insns;
         s.code_bytes = self.cache.total_encoded_bytes() as u64;
-        if let Some(dev) = &self.runtime.virtio {
-            s.virtio_kicks = dev.stats.kicks;
-            s.virtio_submissions = dev.stats.submissions;
-            s.virtio_completions = dev.stats.completions;
-            s.virtio_irqs = dev.stats.irqs_raised;
-            s.virtio_fault_injections = dev.stats.fault_injections;
-            s.virtio_dma_bytes = dev.stats.dma_bytes;
-            s.virtio_io_errors = dev.stats.io_errors;
-        }
-        s.external_invalidations = self.runtime.external_invalidations;
+        // Every block not entered through a chain link went through the
+        // dispatcher.
+        s.slow_dispatches = s.blocks - s.chained_transfers;
+        s.opt_dce_insns = self.timers.opt_dce_insns;
+        s.lower_bailouts = self.timers.lower_bailouts;
+        s.sample_virtio(
+            self.runtime.virtio.as_ref(),
+            self.runtime.external_invalidations,
+        );
         s
     }
 
